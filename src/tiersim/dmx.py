@@ -11,9 +11,17 @@ proportional to score), and, when free frames dip under the reserve,
 queues eviction write-backs to refill headroom to twice the reserve.
 
 Victim order: most-over-quota context first, then lowest level, lowest
-freq, expired runs before live ones. Clean victims drop with no IO; dirty
-ones ride the buffered background write class, so a frame shortfall on the
-fault path is covered instantly and never waits out a media write.
+freq, expired runs before live ones, lowest page index; runs with IO
+pending are skipped. Each context keeps a victim index across selections
+(see VictimIndex): a heap in that order plus a heap of expiry times. Every
+change to a listed run's level, freq, expiry or first page is noted as it
+happens, and the next selection re-keys just those runs, so taking k
+victims costs O((k + changed runs) log n) instead of a sort of the whole
+level. The tick's expiry sweep re-arms too many runs to note one by one:
+it drops every index, and the next selection rebuilds one in O(resident
+runs). Clean victims drop with no IO; dirty ones ride the buffered
+background write class, so a frame shortfall on the fault path is covered
+instantly and never waits out a media write.
 
 A context whose activity score stays under the dormancy threshold for
 enough consecutive windows is snapshotted (its hottest resident runs, up
@@ -22,6 +30,8 @@ prefetches the snapshot back and the context rejoins the active set once
 the prefetch lands.
 """
 
+from heapq import heapify, heappop, heappush
+
 from .core import SimulationError
 from .memory import (
     DRAM, FLASH, INFLIGHT, TO_DRAM, PageList,
@@ -29,6 +39,77 @@ from .memory import (
 )
 from .media import EVICT, PREFETCH
 from .swap import AccessResult
+
+# Stored in an in-flight prefetched run's `prefetched` field once a fault
+# has shared its read: the read is credited as a prefetch hit once, and the
+# run lands as touched. The mark lives and dies with the run.
+HIT_IN_FLIGHT = "hit in flight"
+
+# After a selection a victim index may hold this many heap and wheel
+# entries per listed run, plus INDEX_SLACK, before it is dropped and rebuilt
+# at the next selection. Its `changed` runs are all listed, so it never
+# holds more than (INDEX_ENTRIES_PER_RUN + 1) entries per listed run plus
+# the slack.
+INDEX_ENTRIES_PER_RUN = 3
+INDEX_SLACK = 64
+
+
+class VictimIndex:
+    """One context's listed runs in victim order, kept between selections.
+
+    `heap` holds (level, freq, live, lo, seq, cohort) entries; live is False
+    once the run's expiry has passed, so expired runs come first within a
+    (level, freq) group. An entry is stale, and skipped when popped, once
+    its run has left the level lists or changed level, freq or lo. The
+    policy records each such change in `changed`; `catch_up` pushes fresh
+    entries for those runs. `wheel` holds (expire, seq, cohort) for every
+    run pushed as live, so `catch_up` can push the runs whose expiry has
+    passed again as expired. A selection at an earlier time than the last
+    one may pop an expired claim that no longer holds; the selection
+    re-pushes that run as live.
+    """
+
+    __slots__ = ("heap", "wheel", "changed", "seq")
+
+    def __init__(self, levels, t):
+        heap, wheel = [], []
+        seq = 0
+        for level, plist in enumerate(levels):
+            c = plist.head
+            while c is not None:
+                live = c.expire > t
+                heap.append((level, c.freq, live, c.lo, seq, c))
+                if live:
+                    wheel.append((c.expire, seq, c))
+                seq += 1
+                c = c.next
+        heapify(heap)
+        heapify(wheel)
+        self.heap = heap
+        self.wheel = wheel
+        self.changed = {}       # runs re-keyed since the last selection
+        self.seq = seq
+
+    def push(self, c, t):
+        seq = self.seq
+        self.seq = seq + 1
+        live = c.expire > t
+        heappush(self.heap, (c.level, c.freq, live, c.lo, seq, c))
+        if live:
+            heappush(self.wheel, (c.expire, seq, c))
+
+    def catch_up(self, t):
+        for c in self.changed:
+            self.push(c, t)
+        self.changed.clear()
+        wheel = self.wheel
+        while wheel and wheel[0][0] <= t:
+            expire, _, c = heappop(wheel)
+            if c.owner is not None and c.expire == expire:
+                self.push(c, t)
+
+    def size(self):
+        return len(self.heap) + len(self.wheel) + len(self.changed)
 
 
 class DmxPolicy:
@@ -52,7 +133,7 @@ class DmxPolicy:
         self.fault_overhead_us = fault_overhead_us
         self.contexts = []            # registration order, deterministic
         self._expiry = {}             # window index -> [cohort, ...]
-        self._midflight_hits = set()  # id(cohort) touched while its prefetch flies
+        self._victim_index = {}       # context -> VictimIndex
         self.counters = {
             "demand_faults": 0,
             "fault_clusters": 0,
@@ -78,8 +159,8 @@ class DmxPolicy:
         for c in set(ctx.pages.values()):
             if c.tier == DRAM and c.prefetched:
                 self.counters["mispredictions"] += c.pages()
-            self._midflight_hits.discard(id(c))
         self.contexts.remove(ctx)
+        self._victim_index.pop(ctx, None)
         self.model.teardown(ctx)
         self.rebalance_quotas()
 
@@ -89,12 +170,18 @@ class DmxPolicy:
         key = -(-c.expire // self.window_us)
         self._expiry.setdefault(key, []).append(c)
 
+    def _mark_changed(self, ctx, c):
+        index = self._victim_index.get(ctx)
+        if index is not None:
+            index.changed[c] = None
+
     def _enqueue(self, ctx, c, t):
         c.level = 0
         c.freq = 1
         c.expire = t + self.lifetime_us
         ctx.levels[0].append(c)
         self._wheel_add(c)
+        self._mark_changed(ctx, c)
 
     def _record_access(self, ctx, c, t):
         c.freq += 1
@@ -107,11 +194,17 @@ class DmxPolicy:
             ctx.levels[new_level].append(c)
         c.expire = t + self.lifetime_us
         self._wheel_add(c)
+        index = self._victim_index.get(ctx)     # _mark_changed, inlined: hot
+        if index is not None:
+            index.changed[c] = None
         ctx.window_count += c.pages()
 
     def _expire_sweep(self, t):
         idx = t // self.window_us
-        for key in sorted(k for k in self._expiry if k <= idx):
+        due = sorted(k for k in self._expiry if k <= idx)
+        if due:
+            self._victim_index.clear()    # too many re-keys to note one by one
+        for key in due:
             for c in self._expiry.pop(key):
                 if (c.tier != DRAM or c.owner is None or c.expire > t
                         or not c.ctx.alive):
@@ -175,28 +268,45 @@ class DmxPolicy:
     # -- eviction ----------------------------------------------------------
 
     def _victims_from(self, ctx, allow, t, dirty_out):
+        index = self._victim_index.get(ctx)
+        if index is None:
+            index = self._victim_index[ctx] = VictimIndex(ctx.levels, t)
+        else:
+            index.catch_up(t)
+        heap = index.heap
+        held = []
         taken = 0
-        for level in range(self.levels):
-            if taken >= allow:
-                break
-            cands = sorted(
-                (c for c in ctx.levels[level] if c.io is None),
-                key=lambda c: (c.freq, 0 if c.expire <= t else 1, c.lo))
-            for c in cands:
-                if taken >= allow:
-                    break
-                take = min(c.pages(), allow - taken)
-                piece = self.model.extract(c, c.lo, c.lo + take)
-                piece.owner.remove(piece)
-                taken += take
-                if piece.dirty:
-                    dirty_out.append(piece)
-                else:
-                    if piece.prefetched:
-                        self.counters["mispredictions"] += piece.pages()
-                        piece.prefetched = False
-                    self.model.transition(piece, FLASH)
-                    self.counters["evictions"] += piece.pages()
+        while taken < allow and heap:
+            entry = heappop(heap)
+            level, freq, live, lo, _, c = entry
+            if (c.owner is None or c.lo != lo or c.freq != freq
+                    or c.level != level):
+                continue                    # stale
+            if live != (c.expire > t):
+                index.push(c, t)            # claimed at another t
+                continue
+            if c.io is not None:
+                held.append(entry)          # skipped this time only
+                continue
+            take = min(c.pages(), allow - taken)
+            piece = self.model.extract(c, c.lo, c.lo + take)
+            piece.owner.remove(piece)
+            if piece is not c:
+                index.push(c, t)            # c keeps the rest of the run
+            taken += take
+            if piece.dirty:
+                dirty_out.append(piece)
+            else:
+                if piece.prefetched:
+                    self.counters["mispredictions"] += piece.pages()
+                    piece.prefetched = False
+                self.model.transition(piece, FLASH)
+                self.counters["evictions"] += piece.pages()
+        for entry in held:
+            heappush(heap, entry)
+        listed = sum(plist.cohorts for plist in ctx.levels)
+        if len(heap) + len(index.wheel) > INDEX_ENTRIES_PER_RUN * listed + INDEX_SLACK:
+            del self._victim_index[ctx]
         return taken
 
     def _take_victims(self, need, t):
@@ -283,8 +393,7 @@ class DmxPolicy:
 
     def _on_prefetched(self, req, landed, t):
         for c in landed:
-            c.prefetched = id(c) not in self._midflight_hits
-            self._midflight_hits.discard(id(c))
+            c.prefetched = c.prefetched is not HIT_IN_FLIGHT
             self.counters["prefetch_landed"] += c.pages()
             self._enqueue(c.ctx, c, t)
 
@@ -331,7 +440,14 @@ class DmxPolicy:
                 raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
             span = min(c.hi, hi)
             if c.tier == DRAM:
+                end = c.hi
                 piece = self.model.extract(c, cur, span)
+                # the piece itself is re-keyed by _record_access below
+                if piece is not c:
+                    if c.lo == span:
+                        self._mark_changed(ctx, c)      # the hit took c's head
+                    elif span < end:
+                        self._mark_changed(ctx, ctx.pages[span])  # new right part
                 if piece.prefetched:
                     self.counters["prefetch_hits"] += piece.pages()
                     piece.prefetched = False
@@ -343,9 +459,9 @@ class DmxPolicy:
                 if c.dir == TO_DRAM:
                     pages = span - cur
                     if c.io.klass == PREFETCH:
-                        if id(c) not in self._midflight_hits:
+                        if c.prefetched is not HIT_IN_FLIGHT:
                             self.counters["prefetch_hits"] += pages
-                            self._midflight_hits.add(id(c))
+                            c.prefetched = HIT_IN_FLIGHT
                     else:
                         self.counters["demand_faults"] += pages
                         self.counters["fault_clusters"] += 1

@@ -43,3 +43,15 @@ def percentile_oracle(samples, p):
         if i * 100 >= p * n:
             return v
     return ordered[-1]
+
+
+def victim_order_reference(levels, t):
+    """dmx victim order at time t by a full sort: level by level, the listed
+    runs with no IO pending, by freq, then expired (expire <= t) before
+    live, then first page."""
+    order = []
+    for plist in levels:
+        order.extend(sorted(
+            (c for c in plist if c.io is None),
+            key=lambda c: (c.freq, 0 if c.expire <= t else 1, c.lo)))
+    return order

@@ -14,7 +14,7 @@ from oracles import LruOracle, percentile_oracle
 from tiersim.acceptance import evaluate
 from tiersim.config import resolve
 from tiersim.core import SplitMix64
-from tiersim.dmx import DmxPolicy
+from tiersim.dmx import INDEX_SLACK, DmxPolicy
 from tiersim.experiment import run_point, run_sweep
 from tiersim.media import PREFETCH
 from tiersim.metrics import percentile
@@ -111,6 +111,16 @@ def test_criterion_08_percentiles_match_the_scan_oracle():
             assert percentile(samples, p) == percentile_oracle(samples, p)
 
 
+def _check_dmx_state(pol):
+    """dmx holds no state for dead contexts, and each victim index stays
+    within a constant number of entries per listed run."""
+    assert all(ctx.alive for ctx in pol.contexts)
+    assert all(ctx.alive for ctx in pol._victim_index)
+    for ctx, index in pol._victim_index.items():
+        listed = sum(plist.cohorts for plist in ctx.levels)
+        assert index.size() <= 4 * listed + INDEX_SLACK, (ctx.cid, listed)
+
+
 def _fuzz(policy_name, seed, target_events=1_000_000):
     sim, m, dev = build(dram=1024, flash=32768)
     dev.dispatch_log = []
@@ -152,6 +162,8 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         rounds += 1
         t = max(t, sim.now) + 1 + rng.randrange(3000)
         while next_tick <= t:
+            if policy_name == "dmx":
+                _check_dmx_state(pol)   # the tick drops every index
             pol.tick(max(next_tick, sim.now))
             next_tick += 50_000
         if phase_left == 0:
@@ -163,7 +175,9 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         roll = rng.randrange(100)
         if roll < 1 and rng.randrange(5) == 0 and len(ctxs) > 2:
             slot = rng.randrange(len(ctxs))
-            m.teardown(ctxs[slot][0])
+            pol.on_teardown(ctxs[slot][0])
+            if policy_name == "dmx":
+                _check_dmx_state(pol)
             ctxs.pop(slot)
             spawn(t)
             focus = [0, 1]
@@ -196,8 +210,11 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
                 live = [c for c in pol.contexts if c.alive]
                 assert all(c.quota >= pol.floor_pages for c in live)
                 assert sum(c.quota for c in live) <= m.dram_pages - pol.reserve
+                _check_dmx_state(pol)
     sim.drain()
     m.check_full()
+    if policy_name == "dmx":
+        _check_dmx_state(pol)
     assert events[0] >= target_events, f"starved at {events[0]} events"
     for entry in dev.dispatch_log:
         if entry[1] == PREFETCH:

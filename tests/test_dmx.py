@@ -1,11 +1,13 @@
 import pytest
 
 from helpers import build, mq_law_holds
+from oracles import victim_order_reference
 from tiersim.core import SimulationError, SplitMix64
 from tiersim.memory import (
     DRAM, FLASH, INFLIGHT, TO_FLASH, ACTIVE, DORMANT, ACTIVATING,
 )
-from tiersim.dmx import DmxPolicy
+from tiersim.media import EVICT
+from tiersim.dmx import INDEX_SLACK, DmxPolicy
 
 
 def dmx_stack(dram=2048, flash=16384, **kw):
@@ -385,3 +387,136 @@ def test_mq_and_quota_laws_hold_under_mixed_traffic():
     sim.drain()
     assert mq_law_holds(m)
     m.check_full()
+
+
+# -- victim index ----------------------------------------------------------
+
+HELD_IO = object()      # stands in for a pending request on a DRAM run
+
+
+def _listed(ctx):
+    return [c for plist in ctx.levels for c in plist]
+
+
+def test_victim_index_matches_the_reference_order():
+    """Every selection, including the ones emergency reclaims and ticks
+    make, takes exactly the pieces the full sort of tests/oracles.py would,
+    in its order, computed just before the call."""
+    sim, m, dev, pol = dmx_stack(dram=192, flash=8192, floor_pages=8)
+    rng = SplitMix64(2718)
+    seen = {"calls": 0, "partial": 0, "expire_is_t": 0, "io_held": 0,
+            "earlier_t": 0, "interior_hits": 0, "ticks": 0}
+    last_t = {}
+    select = pol._victims_from
+
+    def checked(ctx, allow, t, dirty_out):
+        expect, left = [], allow
+        for c in victim_order_reference(ctx.levels, t):
+            if left == 0:
+                break
+            take = min(c.pages(), left)
+            expect.append((c.lo, c.lo + take))
+            seen["partial"] += take < c.pages()
+            left -= take
+        listed = _listed(ctx)
+        seen["calls"] += 1
+        seen["expire_is_t"] += any(c.expire == t for c in listed)
+        seen["io_held"] += any(c.io is not None for c in listed)
+        seen["earlier_t"] += t < last_t.get(ctx.cid, -1)
+        last_t[ctx.cid] = t
+        pages_before = {i for c in listed for i in range(c.lo, c.hi)}
+        pieces = []
+        extract = m.extract
+        m.extract = lambda c, lo, hi: pieces.append((lo, hi)) or extract(c, lo, hi)
+        try:
+            got = select(ctx, allow, t, dirty_out)
+        finally:
+            del m.extract
+        assert pieces == expect
+        assert got == allow - left
+        pages_after = {i for c in _listed(ctx) for i in range(c.lo, c.hi)}
+        assert pages_before - pages_after == {
+            i for lo, hi in expect for i in range(lo, hi)}
+        return got
+
+    pol._victims_from = checked
+    ctxs = [[pol.register(m.new_context(f"c{i}")), 0] for i in range(3)]
+    held = None          # a DRAM run made to look as if IO were pending
+    t = 0
+    for step in range(2500):
+        t = max(t, sim.now) + rng.randrange(6000)
+        sim.run(t)
+        slot = ctxs[rng.randrange(len(ctxs))]
+        ctx, pages = slot
+        roll = rng.randrange(100)
+        if pages < 16 or roll < 8:
+            n = 1 + rng.randrange(24)
+            pol.on_allocate(ctx, pages, pages + n, t)
+            slot[1] += n
+        elif roll < 12:
+            pol.tick(t)
+            seen["ticks"] += 1
+        elif roll < 24:
+            # a direct selection at a run's own expiry, which may lie
+            # before or after the last selection's time
+            runs = _listed(ctx)
+            when = runs[rng.randrange(len(runs))].expire if runs else t
+            if rng.randrange(3) == 0:
+                when = max(0, t - rng.randrange(150_000))
+            out = []
+            pol._victims_from(ctx, 1 + rng.randrange(12), when, out)
+            if out:
+                dev.submit_background(EVICT, out, t, cb=pol._on_evicted)
+        elif roll < 28:
+            if held is not None and held.io is HELD_IO:
+                held.io = None
+            runs = _listed(ctx)
+            held = runs[rng.randrange(len(runs))] if runs else None
+            if held is not None:
+                held.io = HELD_IO
+        else:
+            lo = rng.randrange(pages)
+            hi = min(pages, lo + 1 + rng.randrange(10))
+            c = m.lookup(ctx, lo)
+            seen["interior_hits"] += (c.tier == DRAM and c.lo < lo
+                                      and hi < c.hi)
+            res = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0,
+                                   write=roll % 3 == 0)
+            if res.wait is not None:
+                sim.drain()
+        if step % 200 == 199:
+            sim.drain()
+            m.check_full()
+            assert mq_law_holds(m)
+    if held is not None and held.io is HELD_IO:
+        held.io = None
+    sim.drain()
+    m.check_full()
+    assert all(n > 20 for n in seen.values()), seen
+
+
+def test_victim_index_stays_bounded_without_ticks():
+    """With no tick to drop it, the index is trimmed by rebuilds: it never
+    holds more than 4 entries per listed run, beyond the slack."""
+    sim, m, dev, pol = dmx_stack(dram=128, flash=4096, floor_pages=8)
+    ctx = pol.register(m.new_context("a"))
+    rng = SplitMix64(11)
+    last, rebuilds = None, 0
+    t = 0
+    for step in range(6000):
+        t = max(t, sim.now) + 1 + rng.randrange(50)
+        sim.run(t)
+        if step < 512:
+            pol.on_allocate(ctx, step, step + 1, t)
+        else:
+            page = rng.randrange(64) if rng.randrange(4) else rng.randrange(512)
+            if pol.access_range(ctx, page, page + 1, t).wait is not None:
+                sim.drain()
+        index = pol._victim_index.get(ctx)
+        if index is not None:
+            rebuilds += index is not last
+            last = index
+            listed = sum(plist.cohorts for plist in ctx.levels)
+            assert index.size() <= 4 * listed + INDEX_SLACK
+    assert pol.counters["emergency_reclaims"] > 1000
+    assert rebuilds > 5                # it was rebuilt along the way
