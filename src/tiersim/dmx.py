@@ -447,7 +447,9 @@ class DmxPolicy:
                     if c.lo == span:
                         self._mark_changed(ctx, c)      # the hit took c's head
                     elif span < end:
-                        self._mark_changed(ctx, ctx.pages[span])  # new right part
+                        right = ctx.pages[span]     # new right part: arm it
+                        self._wheel_add(right)
+                        self._mark_changed(ctx, right)
                 if piece.prefetched:
                     self.counters["prefetch_hits"] += piece.pages()
                     piece.prefetched = False

@@ -83,6 +83,22 @@ def test_touch_preempts_demotion():
     assert (c.level, c.freq) == (2, 5)    # survived the sweep untouched
 
 
+def test_interior_hit_leaves_the_right_piece_aging():
+    sim, m, dev, pol = dmx_stack()
+    ctx = pol.register(m.new_context("a"))
+    pol.on_allocate(ctx, 0, 8, 0)
+    for i in range(3):
+        pol.access_range(ctx, 0, 8, i + 1)    # freq 4, level 2
+    pol.access_range(ctx, 3, 5, 10)           # cuts [0,3) [3,5) [5,8)
+    right = m.lookup(ctx, 5)
+    assert (right.lo, right.hi, right.level, right.freq) == (5, 8, 2, 4)
+    pol.tick(200_000)
+    assert (right.level, right.freq) == (1, 2)
+    pol.tick(400_000)
+    assert (right.level, right.freq) == (0, 1)
+    assert mq_law_holds(m)
+
+
 # -- quotas ----------------------------------------------------------------
 
 def test_quota_split_is_proportional_above_the_floor():
