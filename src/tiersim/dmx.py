@@ -30,6 +30,8 @@ prefetches the snapshot back and the context rejoins the active set once
 the prefetch lands.
 """
 
+from bisect import bisect_left
+from collections import deque
 from heapq import heapify, heappop, heappush
 
 from .core import SimulationError
@@ -54,11 +56,67 @@ INDEX_ENTRIES_PER_RUN = 3
 INDEX_SLACK = 64
 
 
+class AgingLog:
+    """Every tick's cutoff and re-arm value, so that level-0 runs age lazily.
+
+    A tick at t re-arms each run whose expiry is at or below its cutoff,
+    (t // window) * window, to t + lifetime. A level-0 run at freq 1 keeps
+    the expiry it was last armed with, and `aged` works out the one it would
+    carry had every tick re-armed it: from the first tick whose cutoff
+    reaches the stored expiry, take that tick's re-arm value, move on to the
+    first later tick whose cutoff reaches that value, and so on. `to` maps
+    each tick to the last tick of its chain so far (path-compressed); `open`
+    lists the ticks that still end a chain, oldest first. Once one chain is
+    left, every expiry at or below the last cutoff ages to the last re-arm
+    value; that always holds when lifetime <= window.
+
+    Armings and ticks must come in time order, as they do in a run, so that
+    a run armed after a tick holds an expiry above that tick's cutoff.
+    """
+
+    __slots__ = ("last_cutoff", "cutoffs", "rearms", "to", "open")
+
+    def __init__(self):
+        self.last_cutoff = -1       # below every expiry: nothing to age yet
+        self.cutoffs = []
+        self.rearms = []
+        self.to = []
+        self.open = deque()
+
+    def record(self, cutoff, rearm):
+        rearms = self.rearms
+        if rearms and rearm < rearms[-1]:
+            raise SimulationError("dmx tick earlier than the previous one")
+        k = len(rearms)
+        self.cutoffs.append(cutoff)
+        rearms.append(rearm)
+        to = self.to
+        to.append(k)
+        chains = self.open
+        while chains and rearms[chains[0]] <= cutoff:
+            to[chains.popleft()] = k
+        chains.append(k)
+        self.last_cutoff = cutoff
+
+    def aged(self, expire):
+        """The effective expiry of a run stored with expire <= last_cutoff."""
+        if len(self.open) == 1:
+            return self.rearms[-1]
+        to = self.to
+        k = bisect_left(self.cutoffs, expire)
+        root = to[k]
+        while to[root] != root:
+            root = to[root]
+        while to[k] != root:
+            to[k], k = root, to[k]
+        return self.rearms[root]
+
+
 class VictimIndex:
     """One context's listed runs in victim order, kept between selections.
 
     `heap` holds (level, freq, live, lo, seq, cohort) entries; live is False
-    once the run's expiry has passed, so expired runs come first within a
+    once the run's effective expiry (see AgingLog) has passed, so expired runs come first within a
     (level, freq) group. An entry is stale, and skipped when popped, once
     its run has left the level lists or changed level, freq or lo. The
     policy records each such change in `changed`; `catch_up` pushes fresh
@@ -69,18 +127,22 @@ class VictimIndex:
     re-pushes that run as live.
     """
 
-    __slots__ = ("heap", "wheel", "changed", "seq")
+    __slots__ = ("heap", "wheel", "changed", "seq", "aging")
 
-    def __init__(self, levels, t):
+    def __init__(self, levels, t, aging):
         heap, wheel = [], []
         seq = 0
+        cutoff = aging.last_cutoff
         for level, plist in enumerate(levels):
             c = plist.head
             while c is not None:
-                live = c.expire > t
+                e = c.expire
+                if e <= cutoff:
+                    e = aging.aged(e)
+                live = e > t
                 heap.append((level, c.freq, live, c.lo, seq, c))
                 if live:
-                    wheel.append((c.expire, seq, c))
+                    wheel.append((e, seq, c))
                 seq += 1
                 c = c.next
         heapify(heap)
@@ -89,23 +151,33 @@ class VictimIndex:
         self.wheel = wheel
         self.changed = {}       # runs re-keyed since the last selection
         self.seq = seq
+        self.aging = aging
 
     def push(self, c, t):
         seq = self.seq
         self.seq = seq + 1
-        live = c.expire > t
+        e = c.expire
+        if e <= self.aging.last_cutoff:
+            e = self.aging.aged(e)
+        live = e > t
         heappush(self.heap, (c.level, c.freq, live, c.lo, seq, c))
         if live:
-            heappush(self.wheel, (c.expire, seq, c))
+            heappush(self.wheel, (e, seq, c))
 
     def catch_up(self, t):
         for c in self.changed:
             self.push(c, t)
         self.changed.clear()
         wheel = self.wheel
+        aging = self.aging
         while wheel and wheel[0][0] <= t:
             expire, _, c = heappop(wheel)
-            if c.owner is not None and c.expire == expire:
+            if c.owner is None:
+                continue
+            e = c.expire
+            if e <= aging.last_cutoff:
+                e = aging.aged(e)
+            if e == expire:
                 self.push(c, t)
 
     def size(self):
@@ -132,7 +204,8 @@ class DmxPolicy:
         self.reserve = int(model.dram_pages * reserve_frac)
         self.fault_overhead_us = fault_overhead_us
         self.contexts = []            # registration order, deterministic
-        self._expiry = {}             # window index -> [cohort, ...]
+        self._expiry = {}             # window index -> {cohort: None}
+        self._aging = AgingLog()
         self._victim_index = {}       # context -> VictimIndex
         self.counters = {
             "demand_faults": 0,
@@ -159,6 +232,10 @@ class DmxPolicy:
         for c in set(ctx.pages.values()):
             if c.tier == DRAM and c.prefetched:
                 self.counters["mispredictions"] += c.pages()
+        for plist in ctx.levels:
+            for c in plist:
+                if c.level or c.freq != 1:
+                    self._wheel_drop(c)
         self.contexts.remove(ctx)
         self._victim_index.pop(ctx, None)
         self.model.teardown(ctx)
@@ -168,7 +245,17 @@ class DmxPolicy:
 
     def _wheel_add(self, c):
         key = -(-c.expire // self.window_us)
-        self._expiry.setdefault(key, []).append(c)
+        self._expiry.setdefault(key, {})[c] = None
+
+    def _wheel_drop(self, c):
+        """Forget c's wheel entry, if it has one (a piece just split off a
+        run has none)."""
+        key = -(-c.expire // self.window_us)
+        bucket = self._expiry.get(key)
+        if bucket is not None:
+            bucket.pop(c, None)
+            if not bucket:
+                del self._expiry[key]
 
     def _mark_changed(self, ctx, c):
         index = self._victim_index.get(ctx)
@@ -180,10 +267,11 @@ class DmxPolicy:
         c.freq = 1
         c.expire = t + self.lifetime_us
         ctx.levels[0].append(c)
-        self._wheel_add(c)
         self._mark_changed(ctx, c)
 
     def _record_access(self, ctx, c, t):
+        if c.level or c.freq != 1:
+            self._wheel_drop(c)                 # re-armed below
         c.freq += 1
         new_level = c.level
         while new_level < self.levels - 1 and c.freq >= (1 << (new_level + 1)):
@@ -201,21 +289,20 @@ class DmxPolicy:
 
     def _expire_sweep(self, t):
         idx = t // self.window_us
-        due = sorted(k for k in self._expiry if k <= idx)
-        if due:
-            self._victim_index.clear()    # too many re-keys to note one by one
-        for key in due:
-            for c in self._expiry.pop(key):
-                if (c.tier != DRAM or c.owner is None or c.expire > t
-                        or not c.ctx.alive):
-                    continue  # evicted, split away, or touched again
+        rearm = t + self.lifetime_us
+        self._aging.record(idx * self.window_us, rearm)
+        self._victim_index.clear()    # effective expiries moved: rebuild
+        wheel = self._expiry
+        for key in sorted(k for k in wheel if k <= idx):
+            for c in wheel.pop(key):
                 if c.level > 0:
                     c.owner.remove(c)
                     c.level -= 1
                     c.ctx.levels[c.level].append(c)
                 c.freq = 1 << c.level
-                c.expire = t + self.lifetime_us
-                self._wheel_add(c)
+                c.expire = rearm
+                if c.level > 0:
+                    self._wheel_add(c)
 
     # -- quotas and activity -----------------------------------------------
 
@@ -268,9 +355,10 @@ class DmxPolicy:
     # -- eviction ----------------------------------------------------------
 
     def _victims_from(self, ctx, allow, t, dirty_out):
+        aging = self._aging
         index = self._victim_index.get(ctx)
         if index is None:
-            index = self._victim_index[ctx] = VictimIndex(ctx.levels, t)
+            index = self._victim_index[ctx] = VictimIndex(ctx.levels, t, aging)
         else:
             index.catch_up(t)
         heap = index.heap
@@ -282,7 +370,10 @@ class DmxPolicy:
             if (c.owner is None or c.lo != lo or c.freq != freq
                     or c.level != level):
                 continue                    # stale
-            if live != (c.expire > t):
+            e = c.expire
+            if e <= aging.last_cutoff:
+                e = aging.aged(e)
+            if live != (e > t):
                 index.push(c, t)            # claimed at another t
                 continue
             if c.io is not None:
@@ -293,6 +384,8 @@ class DmxPolicy:
             piece.owner.remove(piece)
             if piece is not c:
                 index.push(c, t)            # c keeps the rest of the run
+            elif c.level or c.freq != 1:
+                self._wheel_drop(c)
             taken += take
             if piece.dirty:
                 dirty_out.append(piece)
@@ -447,8 +540,9 @@ class DmxPolicy:
                     if c.lo == span:
                         self._mark_changed(ctx, c)      # the hit took c's head
                     elif span < end:
-                        right = ctx.pages[span]     # new right part: arm it
-                        self._wheel_add(right)
+                        right = ctx.pages[span]     # new right part
+                        if right.level or right.freq != 1:
+                            self._wheel_add(right)
                         self._mark_changed(ctx, right)
                 if piece.prefetched:
                     self.counters["prefetch_hits"] += piece.pages()

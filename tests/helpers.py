@@ -26,3 +26,18 @@ def mq_law_holds(model, levels_attr=True):
             if c.tier == 0 and c.freq < (1 << c.level):  # DRAM
                 return False
     return True
+
+
+def dmx_wheel_is_exact(pol):
+    """dmx's expiry wheel holds exactly the listed runs that aging can
+    demote or reset (level > 0 or freq != 1), each once, in the bucket of
+    its expiry window."""
+    want = {}
+    for ctx in pol.contexts:
+        for plist in ctx.levels:
+            for c in plist:
+                if c.level > 0 or c.freq != 1:
+                    want[id(c)] = -(-c.expire // pol.window_us)
+    got = [(id(c), key) for key, bucket in pol._expiry.items() for c in bucket]
+    return (all(bucket for bucket in pol._expiry.values())
+            and len(got) == len(want) and dict(got) == want)

@@ -45,13 +45,23 @@ def percentile_oracle(samples, p):
     return ordered[-1]
 
 
-def victim_order_reference(levels, t):
+def aged_expiry(expire, ticks, lifetime, window):
+    """A run's dmx expiry after the ticks at times `ticks`, applied one by
+    one the way an eager sweep would: a tick at t re-arms an expiry at or
+    below its cutoff, (t // window) * window, to t + lifetime."""
+    for t in ticks:
+        if expire <= t // window * window:
+            expire = t + lifetime
+    return expire
+
+
+def victim_order_reference(levels, t, expiry):
     """dmx victim order at time t by a full sort: level by level, the listed
-    runs with no IO pending, by freq, then expired (expire <= t) before
+    runs with no IO pending, by freq, then expired (expiry(run) <= t) before
     live, then first page."""
     order = []
     for plist in levels:
         order.extend(sorted(
             (c for c in plist if c.io is None),
-            key=lambda c: (c.freq, 0 if c.expire <= t else 1, c.lo)))
+            key=lambda c: (c.freq, 0 if expiry(c) <= t else 1, c.lo)))
     return order

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from helpers import build, mq_law_holds
+from helpers import build, dmx_wheel_is_exact, mq_law_holds
 from oracles import LruOracle, percentile_oracle
 from tiersim.acceptance import evaluate
 from tiersim.config import resolve
@@ -113,20 +113,15 @@ def test_criterion_08_percentiles_match_the_scan_oracle():
 
 def _check_dmx_state(pol):
     """dmx holds no state for dead contexts, each victim index stays within
-    a constant number of entries per listed run, and every listed run that
-    aging can demote or reset is armed in the expiry wheel."""
+    a constant number of entries per listed run, and the expiry wheel holds
+    each listed run that aging can demote or reset exactly once, in the
+    bucket of its expiry, and nothing else."""
     assert all(ctx.alive for ctx in pol.contexts)
     assert all(ctx.alive for ctx in pol._victim_index)
     for ctx, index in pol._victim_index.items():
         listed = sum(plist.cohorts for plist in ctx.levels)
         assert index.size() <= 4 * listed + INDEX_SLACK, (ctx.cid, listed)
-    armed = {(key, id(c)) for key, bucket in pol._expiry.items() for c in bucket}
-    for ctx in pol.contexts:
-        for plist in ctx.levels:
-            for c in plist:
-                if c.level > 0 or c.freq != 1:
-                    key = -(-c.expire // pol.window_us)
-                    assert (key, id(c)) in armed, c
+    assert dmx_wheel_is_exact(pol)
 
 
 def _fuzz(policy_name, seed, target_events=1_000_000):

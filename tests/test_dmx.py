@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import build, mq_law_holds
-from oracles import victim_order_reference
+from helpers import build, dmx_wheel_is_exact, mq_law_holds
+from oracles import aged_expiry, victim_order_reference
 from tiersim.core import SimulationError, SplitMix64
 from tiersim.memory import (
     DRAM, FLASH, INFLIGHT, TO_FLASH, ACTIVE, DORMANT, ACTIVATING,
@@ -97,6 +97,80 @@ def test_interior_hit_leaves_the_right_piece_aging():
     pol.tick(400_000)
     assert (right.level, right.freq) == (0, 1)
     assert mq_law_holds(m)
+
+
+@pytest.mark.parametrize("lifetime_us", [40_000, 100_000, 250_000])
+def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
+    """After each tick, at irregular times, every listed run's level, freq
+    and effective expiry are what an eager sweep gives: a run whose expiry
+    is at or below the tick's cutoff demotes one level, its freq snaps to
+    2^level and it re-arms to t + lifetime."""
+    sim, m, dev, pol = dmx_stack(dram=256, flash=8192, floor_pages=8,
+                                 lifetime_us=lifetime_us, window_us=100_000)
+    aging = pol._aging
+
+    def effective(c):
+        if c.expire > aging.last_cutoff:
+            return c.expire
+        seen["split_chains"] += len(aging.open) > 1
+        return aging.aged(c.expire)
+
+    rng = SplitMix64(lifetime_us)
+    ctxs = [[pol.register(m.new_context(f"c{i}")), 0] for i in range(3)]
+    shadow = {}      # (cid, page) -> eager expiry as of the last tick
+    ticks = []
+    seen = {"ticks": 0, "demoted": 0, "level0_rearmed": 0, "split_chains": 0}
+    t = 0
+    for step in range(3000):
+        t = max(t, sim.now) + rng.randrange(8000)
+        sim.run(t)
+        slot = ctxs[rng.randrange(len(ctxs))]
+        ctx, pages = slot
+        roll = rng.randrange(100)
+        if pages < 16 or roll < 6:
+            n = 1 + rng.randrange(24)
+            pol.on_allocate(ctx, pages, pages + n, t)
+            slot[1] += n
+        elif roll < 10:
+            if roll < 8:
+                # a round tick time, so re-arms meet later cutoffs exactly
+                t = -(-t // 20_000) * 20_000
+                sim.run(t)
+            cutoff = t // pol.window_us * pol.window_us
+            expect = {}
+            for c in (c for cx, _ in ctxs for c in _listed(cx)):
+                # a stored expiry above the last cutoff was armed since the
+                # last tick, or belongs to a run the wheel keeps current
+                e = (c.expire if c.expire > aging.last_cutoff
+                     else shadow[(c.ctx.cid, c.lo)])
+                level, freq = c.level, c.freq
+                if e <= cutoff:
+                    seen["demoted"] += level > 0
+                    seen["level0_rearmed"] += level == 0
+                    level = max(level - 1, 0)
+                    freq, e = 1 << level, t + lifetime_us
+                expect[c] = (level, freq, e)
+            ticks.append(t)
+            pol.tick(t)
+            seen["ticks"] += 1
+            for cx, _ in ctxs:
+                for c in _listed(cx):
+                    e = effective(c)
+                    assert (c.level, c.freq, e) == expect[c], c
+                    assert e == aged_expiry(c.expire, ticks, lifetime_us,
+                                            pol.window_us)
+                    for page in range(c.lo, c.hi):
+                        shadow[(cx.cid, page)] = e
+            assert dmx_wheel_is_exact(pol)
+        else:
+            lo = rng.randrange(pages)
+            hi = min(pages, lo + 1 + rng.randrange(10))
+            if pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0).wait is not None:
+                sim.drain()
+    sim.drain()
+    m.check_full()
+    assert mq_law_holds(m)
+    assert all(n > 20 for n in seen.values()), seen
 
 
 # -- quotas ----------------------------------------------------------------
@@ -423,11 +497,15 @@ def test_victim_index_matches_the_reference_order():
     seen = {"calls": 0, "partial": 0, "expire_is_t": 0, "io_held": 0,
             "earlier_t": 0, "interior_hits": 0, "ticks": 0}
     last_t = {}
+    ticks = []           # recorded before each tick: its refill selects
     select = pol._victims_from
+
+    def expiry(c):
+        return aged_expiry(c.expire, ticks, pol.lifetime_us, pol.window_us)
 
     def checked(ctx, allow, t, dirty_out):
         expect, left = [], allow
-        for c in victim_order_reference(ctx.levels, t):
+        for c in victim_order_reference(ctx.levels, t, expiry):
             if left == 0:
                 break
             take = min(c.pages(), left)
@@ -436,7 +514,7 @@ def test_victim_index_matches_the_reference_order():
             left -= take
         listed = _listed(ctx)
         seen["calls"] += 1
-        seen["expire_is_t"] += any(c.expire == t for c in listed)
+        seen["expire_is_t"] += any(expiry(c) == t for c in listed)
         seen["io_held"] += any(c.io is not None for c in listed)
         seen["earlier_t"] += t < last_t.get(ctx.cid, -1)
         last_t[ctx.cid] = t
@@ -470,13 +548,14 @@ def test_victim_index_matches_the_reference_order():
             pol.on_allocate(ctx, pages, pages + n, t)
             slot[1] += n
         elif roll < 12:
+            ticks.append(t)
             pol.tick(t)
             seen["ticks"] += 1
         elif roll < 24:
             # a direct selection at a run's own expiry, which may lie
             # before or after the last selection's time
             runs = _listed(ctx)
-            when = runs[rng.randrange(len(runs))].expire if runs else t
+            when = expiry(runs[rng.randrange(len(runs))]) if runs else t
             if rng.randrange(3) == 0:
                 when = max(0, t - rng.randrange(150_000))
             out = []
@@ -504,6 +583,7 @@ def test_victim_index_matches_the_reference_order():
             sim.drain()
             m.check_full()
             assert mq_law_holds(m)
+            assert dmx_wheel_is_exact(pol)
     if held is not None and held.io is HELD_IO:
         held.io = None
     sim.drain()
@@ -513,7 +593,8 @@ def test_victim_index_matches_the_reference_order():
 
 def test_victim_index_stays_bounded_without_ticks():
     """With no tick to drop it, the index is trimmed by rebuilds: it never
-    holds more than 4 entries per listed run, beyond the slack."""
+    holds more than 4 entries per listed run, beyond the slack. With no tick
+    to sweep it, the expiry wheel still holds one entry per run it ages."""
     sim, m, dev, pol = dmx_stack(dram=128, flash=4096, floor_pages=8)
     ctx = pol.register(m.new_context("a"))
     rng = SplitMix64(11)
@@ -534,5 +615,7 @@ def test_victim_index_stays_bounded_without_ticks():
             last = index
             listed = sum(plist.cohorts for plist in ctx.levels)
             assert index.size() <= 4 * listed + INDEX_SLACK
+        if step % 10 == 0:
+            assert dmx_wheel_is_exact(pol)
     assert pol.counters["emergency_reclaims"] > 1000
     assert rebuilds > 5                # it was rebuilt along the way
