@@ -437,15 +437,18 @@ class DmxPolicy:
     def _ensure_frames(self, n, t):
         """Make room for n inbound pages without blocking: clean victims drop
         on the spot, dirty ones free their frames the moment the buffered
-        write is queued."""
+        write is queued. Queuing that write may dispatch a prefetch that was
+        waiting for frames and takes the ones just freed, so take victims
+        until the frames are there or a round finds none."""
         short = n - self.model.free_frames()
         if short <= 0:
             return
         self.counters["emergency_reclaims"] += 1
-        self._take_victims(short, t)
-        if self.model.free_frames() < n:
-            raise SimulationError(
-                f"no evictable frames: need {n}, free {self.model.free_frames()}")
+        while short > 0:
+            if self._take_victims(short, t) == 0:
+                raise SimulationError(
+                    f"no evictable frames: need {n}, free {self.model.free_frames()}")
+            short = n - self.model.free_frames()
 
     # -- dormancy and reactivation -----------------------------------------
 

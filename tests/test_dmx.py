@@ -6,7 +6,7 @@ from tiersim.core import SimulationError, SplitMix64
 from tiersim.memory import (
     DRAM, FLASH, INFLIGHT, TO_FLASH, ACTIVE, DORMANT, ACTIVATING,
 )
-from tiersim.media import EVICT
+from tiersim.media import EVICT, PREFETCH
 from tiersim.dmx import INDEX_SLACK, DmxPolicy
 
 
@@ -416,6 +416,27 @@ def test_emergency_reclaim_covers_fault_bursts():
     assert res.done_at > 10                    # a read happened
     sim.drain()
     assert ctx.pages[64].tier == DRAM
+    m.check_full()
+
+
+def test_emergency_reclaim_outlasts_a_prefetch_taking_the_freed_frames():
+    sim, m, dev, pol = dmx_stack(dram=64, flash=1024, floor_pages=8)
+    ctx = pol.register(m.new_context("a"))
+    pol.on_allocate(ctx, 0, 64, 0)             # DRAM full of dirty pages
+    sleeper = _dormant_ctx(pol, m, hot_pages=4)
+    pol._wake(sleeper, 0)                      # its prefetch waits for frames
+    assert dev.queued_requests(PREFETCH) == 1
+    m.create(ctx, 64, 68, tier=FLASH, dirty=False)
+    # the victims' write-back dispatches the waiting prefetch, which takes
+    # the four frames they freed; a second round frees four more
+    res = pol.access_range(ctx, 64, 68, 10, batch=True)
+    assert dev.queued_requests(PREFETCH) == 0
+    assert pol.counters["emergency_reclaims"] == 1
+    assert res.done_at > 10
+    sim.drain()
+    assert [ctx.pages[i].tier for i in (64, 67)] == [DRAM, DRAM]
+    assert sleeper.resident == 4 and sleeper.state == ACTIVE
+    assert pol.counters["evictions"] == 8
     m.check_full()
 
 
