@@ -10,6 +10,19 @@ windows, recomputes quotas (per-context floor plus a share of the rest
 proportional to score), and, when free frames dip under the reserve,
 queues eviction write-backs to refill headroom to twice the reserve.
 
+Aging: a tick at t re-arms every run whose expiry is at or below its
+cutoff, (t // window) * window, to t + lifetime, demoting it one level on
+the way. A run's stored `expire` is the value it was last armed with (on
+landing, on a touch, or by a demotion). A level-0 run at freq 1 has nothing
+to demote, so ticks leave it alone and its effective expiry (the one the
+eager rule would give) is derived from the stored one when read (see
+AgingLog). The expiry wheel holds only the runs a tick can demote or reset,
+those with level > 0 or freq != 1: each listed one once, in the bucket of
+its expiry window. A sweep therefore visits only runs that demote. A
+touched run moves to the bucket of its new expiry; a run demoted to level
+0, evicted or torn down leaves the wheel. So the wheel stays at one entry
+per such run even when no tick runs.
+
 Victim order: most-over-quota context first, then lowest level, lowest
 freq, expired runs before live ones, lowest page index; runs with IO
 pending are skipped. Each context keeps a victim index across selections
@@ -17,11 +30,11 @@ pending are skipped. Each context keeps a victim index across selections
 change to a listed run's level, freq, expiry or first page is noted as it
 happens, and the next selection re-keys just those runs, so taking k
 victims costs O((k + changed runs) log n) instead of a sort of the whole
-level. The tick's expiry sweep re-arms too many runs to note one by one:
-it drops every index, and the next selection rebuilds one in O(resident
-runs). Clean victims drop with no IO; dirty ones ride the buffered
-background write class, so a frame shortfall on the fault path is covered
-instantly and never waits out a media write.
+level. Each tick moves the effective expiry of every idle level-0 run, too
+many changes to note one by one: it drops every index, and the next
+selection rebuilds one in O(resident runs). Clean victims drop with no IO;
+dirty ones ride the buffered background write class, so a frame shortfall
+on the fault path is covered instantly and never waits out a media write.
 
 A context whose activity score stays under the dormancy threshold for
 enough consecutive windows is snapshotted (its hottest resident runs, up
@@ -116,15 +129,17 @@ class VictimIndex:
     """One context's listed runs in victim order, kept between selections.
 
     `heap` holds (level, freq, live, lo, seq, cohort) entries; live is False
-    once the run's effective expiry (see AgingLog) has passed, so expired runs come first within a
-    (level, freq) group. An entry is stale, and skipped when popped, once
-    its run has left the level lists or changed level, freq or lo. The
-    policy records each such change in `changed`; `catch_up` pushes fresh
-    entries for those runs. `wheel` holds (expire, seq, cohort) for every
-    run pushed as live, so `catch_up` can push the runs whose expiry has
-    passed again as expired. A selection at an earlier time than the last
-    one may pop an expired claim that no longer holds; the selection
-    re-pushes that run as live.
+    once the run's effective expiry (see AgingLog) has passed, so expired
+    runs come first within a (level, freq) group. An entry is stale, and
+    skipped when popped, once its run has left the level lists or changed
+    level, freq or lo. The policy records each such change in `changed`;
+    `catch_up` pushes fresh entries for those runs. `wheel` holds (effective
+    expiry, seq, cohort) for every run pushed as live, so `catch_up` can
+    push the runs whose expiry has passed again as expired. No tick falls
+    within an index's life (the tick drops every index), so a run's
+    effective expiry changes only when the run is re-armed. A selection at
+    an earlier time than the last one may pop an expired claim that no
+    longer holds; the selection re-pushes that run as live.
     """
 
     __slots__ = ("heap", "wheel", "changed", "seq", "aging")
@@ -248,14 +263,11 @@ class DmxPolicy:
         self._expiry.setdefault(key, {})[c] = None
 
     def _wheel_drop(self, c):
-        """Forget c's wheel entry, if it has one (a piece just split off a
-        run has none)."""
         key = -(-c.expire // self.window_us)
-        bucket = self._expiry.get(key)
-        if bucket is not None:
-            bucket.pop(c, None)
-            if not bucket:
-                del self._expiry[key]
+        bucket = self._expiry[key]
+        del bucket[c]
+        if not bucket:
+            del self._expiry[key]
 
     def _mark_changed(self, ctx, c):
         index = self._victim_index.get(ctx)
@@ -269,9 +281,15 @@ class DmxPolicy:
         ctx.levels[0].append(c)
         self._mark_changed(ctx, c)
 
-    def _record_access(self, ctx, c, t):
-        if c.level or c.freq != 1:
-            self._wheel_drop(c)                 # re-armed below
+    def _record_access(self, ctx, c, t, split):
+        """Count a touch of c at t and re-arm it. `split` says c was just
+        cut off a larger run, so it holds no wheel entry yet."""
+        expire = t + self.lifetime_us
+        window = self.window_us
+        armed = not split and (c.level or c.freq != 1)
+        stays = armed and -(-expire // window) == -(-c.expire // window)
+        if armed and not stays:
+            self._wheel_drop(c)
         c.freq += 1
         new_level = c.level
         while new_level < self.levels - 1 and c.freq >= (1 << (new_level + 1)):
@@ -280,8 +298,9 @@ class DmxPolicy:
             c.owner.remove(c)
             c.level = new_level
             ctx.levels[new_level].append(c)
-        c.expire = t + self.lifetime_us
-        self._wheel_add(c)
+        c.expire = expire
+        if not stays:                           # else its bucket is unchanged
+            self._wheel_add(c)
         index = self._victim_index.get(ctx)     # _mark_changed, inlined: hot
         if index is not None:
             index.changed[c] = None
@@ -552,7 +571,7 @@ class DmxPolicy:
                     piece.prefetched = False
                 if write:
                     piece.dirty = True
-                self._record_access(ctx, piece, t_now)
+                self._record_access(ctx, piece, t_now, piece is not c)
                 cur = span
             elif c.tier == INFLIGHT:
                 if c.dir == TO_DRAM:

@@ -71,6 +71,14 @@ def test_idle_pages_demote_one_level_per_lifetime():
     assert mq_law_holds(m)
 
 
+def test_ticks_must_come_in_time_order():
+    sim, m, dev, pol = dmx_stack()
+    pol.register(m.new_context("a"))
+    pol.tick(200_000)
+    with pytest.raises(SimulationError):
+        pol.tick(100_000)
+
+
 def test_touch_preempts_demotion():
     sim, m, dev, pol = dmx_stack()
     ctx = pol.register(m.new_context("a"))
@@ -165,7 +173,8 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
         else:
             lo = rng.randrange(pages)
             hi = min(pages, lo + 1 + rng.randrange(10))
-            if pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0).wait is not None:
+            res = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0)
+            if res.wait is not None:
                 sim.drain()
     sim.drain()
     m.check_full()
