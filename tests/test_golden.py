@@ -3,14 +3,15 @@
 A short flash sweep of both policies (1, 25 and 49 containers, 3 simulated
 seconds each) must write a `sweep.csv` with exactly the SHA-256 below. It
 runs the workloads, both policies' hit, fault and eviction paths, dmx aging,
-quotas, dormancy and background IO, so any change to simulated behaviour
-shows here as a changed digest, in about two seconds.
+quotas, dormancy and background IO, so a change to simulated behaviour
+that reaches these points shows here as a changed digest, in about two
+seconds. The acceptance sweeps and the unit tests cover what it misses.
 
 A change that alters the output on purpose updates the pin: run
 
     tiersim --device flash --policy both --containers 1,25,49 \\
-        --duration 3 --warmup 1 --out /tmp/golden
-    sha256sum /tmp/golden/sweep.csv
+        --duration 3 --warmup 1 --out golden
+    sha256sum golden/sweep.csv
 
 on the new code, put the digest in SWEEP_SHA256, and name the behaviour
 change and the new digest in CHANGES.md. A change meant to keep the output
