@@ -81,7 +81,8 @@ class AgingLog:
     each tick to the last tick of its chain so far (path-compressed); `open`
     lists the ticks that still end a chain, oldest first. Once one chain is
     left, every expiry at or below the last cutoff ages to the last re-arm
-    value; that always holds when lifetime <= window.
+    value, and the log keeps that last tick alone; that always holds when
+    lifetime <= window, so the log then stays at one entry.
 
     Armings and ticks must come in time order, as they do in a run, so that
     a run armed after a tick holds an expiry above that tick's cutoff.
@@ -110,6 +111,12 @@ class AgingLog:
             to[chains.popleft()] = k
         chains.append(k)
         self.last_cutoff = cutoff
+        if k and len(chains) == 1:
+            # every earlier chain ends at this tick: keep it alone
+            self.cutoffs = [cutoff]
+            self.rearms = [rearm]
+            self.to = [0]
+            chains[0] = 0
 
     def aged(self, expire):
         """The effective expiry of a run stored with expire <= last_cutoff."""
@@ -541,24 +548,29 @@ class DmxPolicy:
         return t
 
     def access_range(self, ctx, lo, hi, t, batch=False, write=False) -> AccessResult:
+        if not ctx.alive:
+            raise SimulationError(f"access to dead context {ctx.cid!r}")
         self._log(t, ctx, lo, hi, "w" if write else "r")
         # a dormant context wakes once the walk is done: by then the touched
         # pages are in flight as demand reads, so the reactivation prefetch
         # covers exactly the rest of the hot set (a wait-exit leaves the
         # context dormant and the resumed walk finishes the job)
         woke = ctx.state == DORMANT
+        cohort_at = ctx.pages.get
         t_now = t
         cur = lo
         while cur < hi:
-            c = self.model.lookup(ctx, cur)
+            c = cohort_at(cur)
             if c is None:
                 raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
             span = min(c.hi, hi)
             if c.tier == DRAM:
-                end = c.hi
-                piece = self.model.extract(c, cur, span)
-                # the piece itself is re-keyed by _record_access below
-                if piece is not c:
+                if c.lo == cur and c.hi <= hi:
+                    piece = c                   # the hit takes the whole run
+                else:
+                    end = c.hi
+                    piece = self.model.extract(c, cur, span)
+                    # the piece itself is re-keyed by _record_access below
                     if c.lo == span:
                         self._mark_changed(ctx, c)      # the hit took c's head
                     elif span < end:
@@ -596,7 +608,7 @@ class DmxPolicy:
                 pieces = [self.model.extract(c, cur, run_end)]
                 if batch:
                     while run_end < hi:
-                        nxt = self.model.lookup(ctx, run_end)
+                        nxt = cohort_at(run_end)
                         if nxt is None or nxt.tier != FLASH:
                             break
                         stop = min(nxt.hi, hi)

@@ -10,6 +10,7 @@ The policy never enters the seed: swap and dmx points at equal density see
 identical workload draws.
 """
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -108,8 +109,14 @@ def run_point(cfg, policy_name, device_name, containers,
                                policy.snapshot_counters(), run_seed)
 
 
-def _pool_point(args):
-    return run_point(*args)
+def _collected_point(args):
+    """run_point, then a full collection outside its timing. A point's
+    model is cyclic (context, cohorts and page lists refer to each other),
+    and walks leave too little garbage for the cyclic collector to run
+    often, so without it one point's whole graph lives on into the next."""
+    summary = run_point(*args)
+    gc.collect()
+    return summary
 
 
 def sweep_plan(cfg):
@@ -130,9 +137,9 @@ def run_sweep(cfg, out_dir, jobs=1, dump_events=False, dump_accesses=False):
         ))
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_pool_point, args))
+            summaries = list(pool.map(_collected_point, args))
     else:
-        summaries = [run_point(*a) for a in args]
+        summaries = [_collected_point(a) for a in args]
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), summaries)
     write_charts(out_dir, summaries)
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:

@@ -131,19 +131,27 @@ class SwapPolicy:
         a single batched read (sequential-friendly clients); batch=False
         faults strictly page by page.
         """
+        if not ctx.alive:
+            raise SimulationError(f"access to dead context {ctx.cid!r}")
         self._log(t, ctx, lo, hi, "w" if write else "r")
+        cohort_at = ctx.pages.get
+        lru = self.lru
         t_now = t
         cur = lo
         while cur < hi:
-            c = self.model.lookup(ctx, cur)
+            c = cohort_at(cur)
             if c is None:
                 raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
             span = min(c.hi, hi)
             if c.tier == DRAM:
-                piece = self.model.extract(c, cur, span)
+                if c.lo == cur and c.hi <= hi:
+                    piece = c                   # the hit takes the whole run
+                else:
+                    piece = self.model.extract(c, cur, span)
                 if write:
                     piece.dirty = True
-                self.lru.move_to_tail(piece)
+                if piece is not lru.tail:
+                    lru.move_to_tail(piece)
                 cur = span
             elif c.tier == INFLIGHT:
                 if c.dir == TO_DRAM:
@@ -162,7 +170,7 @@ class SwapPolicy:
                 if batch:
                     # extend across adjacent missing cohorts
                     while run_end < hi:
-                        nxt = self.model.lookup(ctx, run_end)
+                        nxt = cohort_at(run_end)
                         if nxt is None or nxt.tier != FLASH:
                             break
                         stop = min(nxt.hi, hi)

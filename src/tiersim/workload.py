@@ -16,6 +16,7 @@ with zero think time. Hot draws are rank-weighted by a power-law skew.
 """
 
 import bisect
+from functools import partial
 from itertools import accumulate
 
 from .core import SimulationError
@@ -43,27 +44,27 @@ class NoiseCatalog:
 
 
 def walk_ranges(policy, ctx, ranges, t, batch, write, done):
-    """Touch each (lo, hi) range in order via the policy, resuming after
-    tier-out waits, then call done(t_end)."""
-    ranges = list(ranges)
-    idx = 0
+    """Touch each (lo, hi) of the list `ranges` in order via the policy,
+    then call done(t_end). A walk on a dead context does nothing.
 
-    def step(t):
-        nonlocal idx
-        if not ctx.alive:
+    When an access must wait for a victim still draining to flash, the walk
+    stops there and hands the wait handle a resumption: a partial that
+    re-enters walk_ranges with the rest of the walk, starting at the page
+    the policy names. The resumption holds no reference to itself, so a
+    walk leaves no reference cycle for the cyclic collector, and a walk
+    that never waits copies no list and creates no closure.
+    """
+    if not ctx.alive:
+        return
+    for i, (lo, hi) in enumerate(ranges):
+        res = policy.access_range(ctx, lo, hi, t, batch=batch, write=write)
+        if res.wait is not None:
+            rest = [(res.next_idx, hi)] + ranges[i + 1:]
+            res.wait.wait(partial(walk_ranges, policy, ctx, rest,
+                                  batch=batch, write=write, done=done))
             return
-        while idx < len(ranges):
-            lo, hi = ranges[idx]
-            res = policy.access_range(ctx, lo, hi, t, batch=batch, write=write)
-            if res.wait is not None:
-                ranges[idx] = (res.next_idx, hi)
-                res.wait.wait(step)
-                return
-            t = res.done_at
-            idx += 1
-        done(t)
-
-    step(t)
+        t = res.done_at
+    done(t)
 
 
 class NoiseSystem:

@@ -182,6 +182,16 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
     assert all(n > 20 for n in seen.values()), seen
 
 
+def test_aging_log_keeps_one_entry_when_every_tick_merges_the_chains():
+    sim, m, dev, pol = dmx_stack()        # lifetime == window
+    aging = pol._aging
+    for i in range(1, 10_001):
+        pol.tick(i * pol.window_us)
+        assert len(aging.open) == 1
+    assert len(aging.cutoffs) == len(aging.rearms) == len(aging.to) == 1
+    assert aging.aged(0) == aging.aged(aging.last_cutoff) == 10_001 * pol.window_us
+
+
 # -- quotas ----------------------------------------------------------------
 
 def test_quota_split_is_proportional_above_the_floor():

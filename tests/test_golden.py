@@ -7,23 +7,54 @@ quotas, dormancy and background IO, so a change to simulated behaviour
 that reaches these points shows here as a changed digest, in about two
 seconds. The acceptance sweeps and the unit tests cover what it misses.
 
-A change that alters the output on purpose updates the pin: run
+That sweep never writes on a hit: only page births write. Three more pins
+cover what it leaves out:
+- a seeded trace replayed by swap and then dmx, with write hits and
+  accesses that block on a victim still draining to flash (every trace
+  cohort is one page, so each of its hits takes a whole cohort);
+- seeded walks over multi-page records through both policies, with
+  partial and whole-cohort hits, reads and writes, and walks that wait
+  and resume, pinned by the state they leave;
+- the default disk-swap sweep at 3 s per point.
+
+A change that alters the output on purpose updates the pins: run
 
     tiersim --device flash --policy both --containers 1,25,49 \\
         --duration 3 --warmup 1 --out golden
     sha256sum golden/sweep.csv
 
-on the new code, put the digest in SWEEP_SHA256, and name the behaviour
-change and the new digest in CHANGES.md. A change meant to keep the output
-must leave this test passing as it is.
+(or the test's own steps for the other pins) on the new code, put the
+digests in the constants below, and name the behaviour change and the new
+digests in CHANGES.md. A change meant to keep the output must leave these
+tests passing as they are.
 """
 
 import hashlib
+import random
 
+import pytest
+
+from helpers import build
 from tiersim.config import resolve
-from tiersim.experiment import run_sweep
+from tiersim.dmx import DmxPolicy
+from tiersim.experiment import run_sweep, run_trace
+from tiersim.swap import SwapPolicy
+from tiersim.workload import walk_ranges
 
 SWEEP_SHA256 = "77b2c26a4e0cd5d27aabdf7e086135e66310fc1dfd9acf0626a83e619fae8f5c"
+DISK_SWEEP_SHA256 = "698d579930a742c527ed37521a815be624b30cb4c9e51937168ed5f9b04332b9"
+TRACE_SHA256 = {
+    "swap": "83347e1e5ea40b18b749f1d3e8e8403f0a6b09c4c25cdd86891aca1aa32b3cf0",
+    "dmx": "1231c7fc67283c8d063e7bd3effb8b1e66640977e62a9828175fbb53d4e64f12",
+}
+WALKS_SHA256 = {
+    "swap": "76db5c598fefab393e131907ecf9c3643c402769d09da3dacaf394287a0fdda6",
+    "dmx": "0f6572db334cf96a679b96ad8a62c1b6233021c42e855280dac9459eb1e83b0b",
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_short_flash_sweep_writes_the_pinned_bytes(tmp_path):
@@ -31,5 +62,86 @@ def test_short_flash_sweep_writes_the_pinned_bytes(tmp_path):
                          "containers": "1,25,49", "duration_s": "3",
                          "warmup_s": "1"})
     run_sweep(cfg, str(tmp_path), 1)
-    data = (tmp_path / "sweep.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == SWEEP_SHA256
+    assert sha256_of(tmp_path / "sweep.csv") == SWEEP_SHA256
+
+
+def test_short_disk_swap_sweep_writes_the_pinned_bytes(tmp_path):
+    cfg = resolve(None, {"duration_s": "3", "warmup_s": "1"})
+    run_sweep(cfg, str(tmp_path), 1)
+    assert sha256_of(tmp_path / "sweep.csv") == DISK_SWEEP_SHA256
+
+
+def write_rw_trace(path, seed=7, records=3000):
+    """Two contexts of 160 pages each, skewed toward low pages, 40% writes,
+    with gaps from 1 to 250 us: replayed into 128 frames, re-touched dirty
+    victims are often still draining to flash."""
+    rnd = random.Random(seed)
+    t = 0
+    lines = []
+    for _ in range(records):
+        ctx = rnd.choice("ab")
+        page = min(int(rnd.expovariate(1 / 40)), 159)
+        op = "w" if rnd.random() < 0.4 else "r"
+        lines.append(f"{t} {ctx} {page} {op}\n")
+        t += rnd.choice((1, 3, 10, 60, 250))
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("policy", ["swap", "dmx"])
+def test_write_trace_replay_writes_the_pinned_bytes(tmp_path, policy):
+    trace = tmp_path / "rw.trace"
+    write_rw_trace(trace)
+    cfg = resolve(None, {"policy": policy, "device": "flash",
+                         "mem.dram_pages": "128"})
+    run_trace(cfg, str(trace), str(tmp_path / policy))
+    assert sha256_of(tmp_path / policy / "sweep.csv") == TRACE_SHA256[policy]
+
+
+def run_seeded_walks(policy_cls, seed=3, walks=400):
+    """Walks of one to three sub-ranges of up to 12 pages over two
+    contexts of 160 pages (born as 40-page regions) in 128 frames, 40%
+    writes, half batched, with a tick every 50 walks; returns a digest of
+    each walk's end time, the counters and every cohort's state and list
+    order."""
+    sim, m, dev = build(dram=128, flash=4096)
+    pol = policy_cls(sim, m, dev, fault_overhead_us=100)
+    rnd = random.Random(seed)
+    ctxs = [pol.register(m.new_context(cid)) for cid in ("a", "b")]
+    for ctx in ctxs:
+        for lo in range(0, 160, 40):
+            pol.on_allocate(ctx, lo, lo + 40, 0)
+    ends = []
+    t = 0
+    for k in range(walks):
+        ctx = rnd.choice(ctxs)
+        ranges = []
+        for _ in range(rnd.randint(1, 3)):
+            lo = rnd.randrange(160)
+            ranges.append((lo, min(lo + rnd.randint(1, 12), 160)))
+        write = rnd.random() < 0.4
+        batch = rnd.random() < 0.5
+
+        def start(t, ctx=ctx, ranges=ranges, write=write, batch=batch, k=k):
+            walk_ranges(pol, ctx, ranges, t, batch=batch, write=write,
+                        done=lambda te: ends.append((k, te)))
+        sim.schedule(t, "walk", start)
+        t += rnd.choice((200, 1000, 4000))
+        if k % 50 == 49:
+            sim.schedule(t, "tick", pol.tick)
+    sim.drain()
+    m.check_full()
+    lists = [pol.lru] if policy_cls is SwapPolicy else [
+        plist for ctx in ctxs for plist in ctx.levels]
+    state = [sorted(ends), sorted(pol.snapshot_counters().items())]
+    for ctx in ctxs:
+        state.append(sorted((c.lo, c.hi, c.tier, c.dirty, c.freq, c.level,
+                             c.expire) for c in set(ctx.pages.values())))
+    for plist in lists:
+        state.append([(c.ctx.cid, c.lo, c.hi) for c in plist])
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_seeded_walks_leave_the_pinned_state(policy_cls):
+    assert run_seeded_walks(policy_cls) == WALKS_SHA256[policy_cls.name]

@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from helpers import build
-from tiersim.core import SplitMix64
+from tiersim.core import SimulationError, SplitMix64
+from tiersim.dmx import DmxPolicy
 from tiersim.memory import FLASH
 from tiersim.metrics import Collector
 from tiersim.swap import SwapPolicy
@@ -101,7 +104,91 @@ def test_walk_abandons_when_the_context_dies():
     assert ends == []
 
 
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_access_to_a_torn_down_context_is_fatal(policy_cls):
+    sim, m, dev = build(dram=64, flash=512)
+    pol = policy_cls(sim, m, dev)
+    ctx = pol.register(m.new_context("n"))
+    pol.on_allocate(ctx, 0, 8, 0)
+    pol.on_teardown(ctx)
+    with pytest.raises(SimulationError, match="dead context"):
+        pol.access_range(ctx, 0, 8, 10)
+
+
+def test_walk_on_a_dead_context_does_nothing():
+    sim, m, dev, pol = swap_stack(dram=64, flash=512)
+    ctx = pol.register(m.new_context("n"))
+    pol.on_allocate(ctx, 0, 8, 0)
+    pol.on_teardown(ctx)
+    ends = []
+    walk_ranges(pol, ctx, [(0, 8)], 10, batch=False, write=False,
+                done=ends.append)
+    sim.drain()
+    assert ends == []
+
+
+def test_walk_resumes_where_it_waited():
+    sim, m, dev, pol = swap_stack(dram=4, flash=64, overhead=0)
+    ctx = pol.register(m.new_context("n"))
+    pol.on_allocate(ctx, 0, 2, 0)
+    pol.on_allocate(ctx, 2, 4, 0)
+    pol.access_range(ctx, 0, 2, 0)          # [2,4) is now the LRU end
+    pol.on_allocate(ctx, 4, 6, 0)           # [2,4) drains to flash
+    calls = []
+    access = pol.access_range
+
+    def logged(ctx, lo, hi, t, **kw):
+        res = access(ctx, lo, hi, t, **kw)
+        calls.append((lo, hi, t, res.next_idx))
+        return res
+
+    pol.access_range = logged
+    ends = []
+    walk_ranges(pol, ctx, [(4, 6), (0, 4), (0, 1)], 0, batch=False,
+                write=False, done=ends.append)
+    assert ends == []
+    sim.drain()
+    landed = calls[2][2]                    # the write-back of [2,4) landed
+    refaulted = calls[3][2]                 # [2,4) read back in
+    assert 0 < landed < refaulted
+    assert calls == [(4, 6, 0, None), (0, 4, 0, 2),
+                     (2, 4, landed, None), (0, 1, refaulted, None)]
+    assert ends == [refaulted]              # the last range only hits
+    m.check_full()
+
+
 # -- critical service ------------------------------------------------------
+
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_hit_only_transactions_leave_no_cyclic_garbage(policy_cls):
+    """A transaction that only hits allocates no function or cell that the
+    cyclic collector alone could free: walks and their completions form no
+    reference cycle."""
+    sim, m, dev = build(dram=65536, flash=524288)
+    pol = policy_cls(sim, m, dev)
+    svc = CriticalService(sim, m, pol, Collector(0, 1_000_000),
+                          SplitMix64(5))
+    svc.start()
+    sim.run(5_000)                          # the first round splits records
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sim.run(400_000)
+        gc.collect()
+        garbage = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert svc.completed >= 1000
+    assert pol.counters["demand_faults"] == 0
+    assert not garbage & {"function", "cell"}, garbage
+
 
 def test_zero_skew_draws_are_uniform():
     sim, m, dev, pol = swap_stack()
