@@ -135,7 +135,6 @@ class SwapPolicy:
             raise SimulationError(f"access to dead context {ctx.cid!r}")
         self._log(t, ctx, lo, hi, "w" if write else "r")
         cohort_at = ctx.pages.get
-        lru = self.lru
         t_now = t
         cur = lo
         while cur < hi:
@@ -150,8 +149,7 @@ class SwapPolicy:
                     piece = self.model.extract(c, cur, span)
                 if write:
                     piece.dirty = True
-                if piece is not lru.tail:
-                    lru.move_to_tail(piece)
+                self.lru.move_to_tail(piece)
                 cur = span
             elif c.tier == INFLIGHT:
                 if c.dir == TO_DRAM:

@@ -16,6 +16,8 @@ cover what it leaves out:
   partial and whole-cohort hits, reads and writes, and walks that wait
   and resume, pinned by the state they leave;
 - the default disk-swap sweep at 3 s per point.
+A strict xfail runs the same walks with longer ranges, which abort today,
+so the fix of that defect shows as an unexpected pass.
 
 A change that alters the output on purpose updates the pins: run
 
@@ -36,6 +38,7 @@ import pytest
 
 from helpers import build
 from tiersim.config import resolve
+from tiersim.core import SimulationError
 from tiersim.dmx import DmxPolicy
 from tiersim.experiment import run_sweep, run_trace
 from tiersim.swap import SwapPolicy
@@ -97,8 +100,8 @@ def test_write_trace_replay_writes_the_pinned_bytes(tmp_path, policy):
     assert sha256_of(tmp_path / policy / "sweep.csv") == TRACE_SHA256[policy]
 
 
-def run_seeded_walks(policy_cls, seed=3, walks=400):
-    """Walks of one to three sub-ranges of up to 12 pages over two
+def run_seeded_walks(policy_cls, seed=3, walks=400, max_pages=12):
+    """Walks of one to three sub-ranges of up to max_pages pages over two
     contexts of 160 pages (born as 40-page regions) in 128 frames, 40%
     writes, half batched, with a tick every 50 walks; returns a digest of
     each walk's end time, the counters and every cohort's state and list
@@ -117,7 +120,7 @@ def run_seeded_walks(policy_cls, seed=3, walks=400):
         ranges = []
         for _ in range(rnd.randint(1, 3)):
             lo = rnd.randrange(160)
-            ranges.append((lo, min(lo + rnd.randint(1, 12), 160)))
+            ranges.append((lo, min(lo + rnd.randint(1, max_pages), 160)))
         write = rnd.random() < 0.4
         batch = rnd.random() < 0.5
 
@@ -145,3 +148,16 @@ def run_seeded_walks(policy_cls, seed=3, walks=400):
                          ids=["swap", "dmx"])
 def test_seeded_walks_leave_the_pinned_state(policy_cls):
     assert run_seeded_walks(policy_cls) == WALKS_SHA256[policy_cls.name]
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError,
+                   reason="a demand fault takes its frames when issued and "
+                          "cannot wait for one; overlapping long walks hold "
+                          "every frame inbound and the run aborts")
+@pytest.mark.parametrize("policy_cls,seed", [(SwapPolicy, 3), (DmxPolicy, 4)],
+                         ids=["swap", "dmx"])
+def test_long_overlapping_walks_wait_for_frames(policy_cls, seed):
+    """Ranges of up to 24 pages: once all 128 frames are inbound, swap
+    raises "reclaim short" and dmx "no evictable frames" where the fault
+    should wait for a frame. Drop the xfail when the fault path waits."""
+    run_seeded_walks(policy_cls, seed=seed, max_pages=24)
