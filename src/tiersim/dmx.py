@@ -2,7 +2,7 @@
 activity-scored DRAM quotas, dormancy detection with hot-set snapshots,
 reactivation prefetch, and background eviction kept off the access path.
 
-Per managed context, resident pages sit in M frequency-leveled queues:
+Per context, resident pages sit in M frequency-leveled queues:
 promotion to level L+1 once freq >= 2^(L+1); going untouched for one
 lifetime demotes a run one level and resets freq to exactly 2^(new level).
 A periodic tick (one activity window) runs expiry, closes EWMA activity
@@ -41,6 +41,9 @@ enough consecutive windows is snapshotted (its hottest resident runs, up
 to quota) and left to be evicted by pressure. The first touch after that
 prefetches the snapshot back and the context rejoins the active set once
 the prefetch lands.
+
+Accesses run the page walk shared with swap (policy.py); the hooks here
+re-arm a hit run, take victims for a fault cluster and enqueue landed reads.
 """
 
 from bisect import bisect_left
@@ -49,16 +52,10 @@ from heapq import heapify, heappop, heappush
 
 from .core import SimulationError
 from .memory import (
-    DRAM, FLASH, INFLIGHT, TO_DRAM, PageList,
-    ACTIVE, DORMANT, ACTIVATING,
+    DRAM, FLASH, PageList, ACTIVE, DORMANT, ACTIVATING,
 )
 from .media import EVICT, PREFETCH
-from .swap import AccessResult
-
-# Stored in an in-flight prefetched run's `prefetched` field once a fault
-# has shared its read: the read is credited as a prefetch hit once, and the
-# run lands as touched. The mark lives and dies with the run.
-HIT_IN_FLIGHT = "hit in flight"
+from .policy import HIT_IN_FLIGHT, AccessResult, Policy
 
 # After a selection a victim index may hold this many heap and wheel
 # entries per listed run, plus INDEX_SLACK, before it is dropped and rebuilt
@@ -206,16 +203,14 @@ class VictimIndex:
         return len(self.heap) + len(self.wheel) + len(self.changed)
 
 
-class DmxPolicy:
+class DmxPolicy(Policy):
     name = "dmx"
 
     def __init__(self, sim, model, device, levels=8, lifetime_us=100_000,
                  window_us=100_000, alpha=0.3, dormant_threshold=1.0,
                  dormant_windows=5, floor_pages=64, reserve_frac=0.02,
                  fault_overhead_us=0):
-        self.sim = sim
-        self.model = model
-        self.device = device
+        super().__init__(sim, model, device, fault_overhead_us)
         self.levels = levels
         self.lifetime_us = lifetime_us
         self.window_us = window_us
@@ -224,23 +219,12 @@ class DmxPolicy:
         self.dormant_windows = dormant_windows
         self.floor_pages = floor_pages
         self.reserve = int(model.dram_pages * reserve_frac)
-        self.fault_overhead_us = fault_overhead_us
         self.contexts = []            # registration order, deterministic
         self._expiry = {}             # window index -> {cohort: None}
         self._aging = AgingLog()
         self._victim_index = {}       # context -> VictimIndex
-        self.counters = {
-            "demand_faults": 0,
-            "fault_clusters": 0,
-            "evictions": 0,
-            "prefetch_issued": 0,
-            "prefetch_landed": 0,
-            "prefetch_hits": 0,
-            "mispredictions": 0,
-            "demand_evict_waits": 0,
-            "emergency_reclaims": 0,
-        }
-        self.access_log = None
+        self.counters.update(prefetch_landed=0, demand_evict_waits=0,
+                             emergency_reclaims=0)
 
     # -- context management ------------------------------------------------
 
@@ -288,9 +272,12 @@ class DmxPolicy:
         ctx.levels[0].append(c)
         self._mark_changed(ctx, c)
 
-    def _record_access(self, ctx, c, t, split):
-        """Count a touch of c at t and re-arm it. `split` says c was just
-        cut off a larger run, so it holds no wheel entry yet."""
+    def _on_hit(self, ctx, c, t, split):
+        """Credit a prefetch, count a touch of c at t and re-arm it. `split`
+        says c was just cut off a larger run, so it holds no wheel entry yet."""
+        if c.prefetched:
+            self.counters["prefetch_hits"] += c.pages()
+            c.prefetched = False
         expire = t + self.lifetime_us
         window = self.window_us
         armed = not split and (c.level or c.freq != 1)
@@ -311,7 +298,16 @@ class DmxPolicy:
         index = self._victim_index.get(ctx)     # _mark_changed, inlined: hot
         if index is not None:
             index.changed[c] = None
-        ctx.window_count += c.pages()
+
+    def _on_split(self, ctx, c, span, end):
+        # the hit piece itself is re-keyed by _on_hit
+        if c.lo == span:
+            self._mark_changed(ctx, c)          # the hit took c's head
+        elif span < end:
+            right = ctx.pages[span]             # new right part
+            if right.level or right.freq != 1:
+                self._wheel_add(right)
+            self._mark_changed(ctx, right)
 
     def _expire_sweep(self, t):
         idx = t // self.window_us
@@ -416,11 +412,8 @@ class DmxPolicy:
             if piece.dirty:
                 dirty_out.append(piece)
             else:
-                if piece.prefetched:
-                    self.counters["mispredictions"] += piece.pages()
-                    piece.prefetched = False
                 self.model.transition(piece, FLASH)
-                self.counters["evictions"] += piece.pages()
+                self._on_evicted(None, (piece,), t)     # out now, no write
         for entry in held:
             heappush(heap, entry)
         listed = sum(plist.cohorts for plist in ctx.levels)
@@ -459,6 +452,10 @@ class DmxPolicy:
                 self.counters["mispredictions"] += c.pages()
                 c.prefetched = False
             self.counters["evictions"] += c.pages()
+
+    def _make_room(self, pages, t):
+        self._ensure_frames(pages, t)
+        return t
 
     def _ensure_frames(self, n, t):
         """Make room for n inbound pages without blocking: clean victims drop
@@ -519,7 +516,7 @@ class DmxPolicy:
             self.counters["prefetch_landed"] += c.pages()
             self._enqueue(c.ctx, c, t)
 
-    def _on_demand_landed(self, req, landed, t):
+    def _on_landed(self, req, landed, t):
         for c in landed:
             self._enqueue(c.ctx, c, t)
 
@@ -548,97 +545,16 @@ class DmxPolicy:
         return t
 
     def access_range(self, ctx, lo, hi, t, batch=False, write=False) -> AccessResult:
-        if not ctx.alive:
-            raise SimulationError(f"access to dead context {ctx.cid!r}")
-        self._log(t, ctx, lo, hi, "w" if write else "r")
-        # a dormant context wakes once the walk is done: by then the touched
-        # pages are in flight as demand reads, so the reactivation prefetch
-        # covers exactly the rest of the hot set (a wait-exit leaves the
-        # context dormant and the resumed walk finishes the job)
-        woke = ctx.state == DORMANT
-        cohort_at = ctx.pages.get
-        t_now = t
-        cur = lo
-        while cur < hi:
-            c = cohort_at(cur)
-            if c is None:
-                raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
-            span = min(c.hi, hi)
-            if c.tier == DRAM:
-                if c.lo == cur and c.hi <= hi:
-                    piece = c                   # the hit takes the whole run
-                else:
-                    end = c.hi
-                    piece = self.model.extract(c, cur, span)
-                    # the piece itself is re-keyed by _record_access below
-                    if c.lo == span:
-                        self._mark_changed(ctx, c)      # the hit took c's head
-                    elif span < end:
-                        right = ctx.pages[span]     # new right part
-                        if right.level or right.freq != 1:
-                            self._wheel_add(right)
-                        self._mark_changed(ctx, right)
-                if piece.prefetched:
-                    self.counters["prefetch_hits"] += piece.pages()
-                    piece.prefetched = False
-                if write:
-                    piece.dirty = True
-                self._record_access(ctx, piece, t_now, piece is not c)
-                cur = span
-            elif c.tier == INFLIGHT:
-                if c.dir == TO_DRAM:
-                    pages = span - cur
-                    if c.io.klass == PREFETCH:
-                        if c.prefetched is not HIT_IN_FLIGHT:
-                            self.counters["prefetch_hits"] += pages
-                            c.prefetched = HIT_IN_FLIGHT
-                    else:
-                        self.counters["demand_faults"] += pages
-                        self.counters["fault_clusters"] += 1
-                    ctx.window_count += pages
-                    t_now = max(t_now, c.io.done_t)
-                    cur = span
-                else:
-                    # victim write still buffered or on the wire; wait it
-                    # out, then fault the page back in
-                    self.counters["demand_evict_waits"] += 1
-                    return AccessResult(t_now, wait=c.io.handle, next_idx=cur)
-            elif c.tier == FLASH:
-                run_end = span if batch else cur + 1
-                pieces = [self.model.extract(c, cur, run_end)]
-                if batch:
-                    while run_end < hi:
-                        nxt = cohort_at(run_end)
-                        if nxt is None or nxt.tier != FLASH:
-                            break
-                        stop = min(nxt.hi, hi)
-                        pieces.append(self.model.extract(nxt, run_end, stop))
-                        run_end = stop
-                pages = run_end - cur
-                t_now += self.fault_overhead_us
-                self._ensure_frames(pages, t_now)
-                for p in pieces:
-                    if write:
-                        p.dirty = True
-                read = self.device.submit_demand(pieces, t_now,
-                                                 cb=self._on_demand_landed)
-                self.counters["demand_faults"] += pages
-                self.counters["fault_clusters"] += 1
-                ctx.window_count += pages
-                t_now = read.done_t
-                cur = run_end
-            else:
-                raise SimulationError(f"access to dead cohort {c!r}")
-        if woke and ctx.state == DORMANT:
+        """The shared walk; the walked pages then count toward the window (no
+        tick runs inside one call). A dormant context wakes once the walk is
+        done: by then the touched pages are in flight as demand reads, so the
+        reactivation prefetch covers exactly the rest of the hot set (a
+        wait-exit leaves it dormant and the resumed walk finishes the job)."""
+        res = Policy.access_range(self, ctx, lo, hi, t, batch, write)
+        if res.wait is not None:    # stopped at a victim still draining
+            self.counters["demand_evict_waits"] += 1
+            hi = res.next_idx
+        elif ctx.state == DORMANT:
             self._wake(ctx, t)
-        return AccessResult(t_now)
-
-    def _log(self, t, ctx, lo, hi, op):
-        if self.access_log is not None:
-            for idx in range(lo, hi):
-                self.access_log.append((t, ctx.cid, idx, op))
-
-    def snapshot_counters(self) -> dict:
-        out = dict(self.counters)
-        out["writeback_pages"] = self.device.stats["pages_written"]
-        return out
+        ctx.window_count += hi - lo
+        return res

@@ -30,7 +30,7 @@ DEMAND = 0
 EVICT = 1
 PREFETCH = 2
 
-KLASS_NAMES = {DEMAND: "demand", EVICT: "evict", PREFETCH: "prefetch"}
+IOS_STAT = {DEMAND: "demand_ios", EVICT: "evict_ios", PREFETCH: "prefetch_ios"}
 
 
 @dataclass(frozen=True)
@@ -155,27 +155,33 @@ class Device:
             return Handle(0, 0, done_t=t)
         chunks = _chunk(cohorts, self.profile.batch_pages, self.model.extract)
         handle = Handle(pages, len(chunks))
-        last_done = 0
-        direction = TO_FLASH if write else TO_DRAM
+        last_done = 0   # of this submission: other slots may hold later IO
         for chunk, n in chunks:
             req = Request(DEMAND, write, chunk, n, handle, cb, t,
                           DRAM if write else FLASH)
             for c in chunk:
-                if c.owner is not None:
-                    c.owner.remove(c)
-                self.model.transition(c, INFLIGHT, direction)
                 c.io = req
-            svc = service_time_us(self.profile, n, write)
-            slot = min(range(len(self._busy)), key=self._busy.__getitem__)
-            start = max(t, not_before, self._busy[slot])
-            done = start + svc
-            self._busy[slot] = done
-            req.done_t = done
+            slot = self._least_busy_slot()
+            done = self._start(req, slot, max(t, not_before, self._busy[slot]))
             last_done = max(last_done, done)
-            self.stats["busy_us"] += svc
-            self.sim.schedule(done, "io-done", lambda at, r=req: self._complete(r, at))
         handle.done_t = last_done
         return handle
+
+    def _start(self, req, slot, start):
+        """Start req in `slot` at `start`: its cohorts go in flight and its
+        completion is scheduled. Returns the done time."""
+        direction = TO_FLASH if req.write else TO_DRAM
+        for c in req.cohorts:
+            if c.owner is not None:
+                c.owner.remove(c)
+            self.model.transition(c, INFLIGHT, direction)
+        svc = service_time_us(self.profile, req.pages, req.write)
+        done = start + svc
+        self._busy[slot] = done
+        req.done_t = done
+        self.stats["busy_us"] += svc
+        self.sim.schedule(done, "io-done", lambda at, r=req: self._complete(r, at))
+        return done
 
     # -- background path ---------------------------------------------------
 
@@ -205,9 +211,8 @@ class Device:
         self._dispatch(t)
         return handle
 
-    def _idle_slot(self, t):
-        slot = min(range(len(self._busy)), key=self._busy.__getitem__)
-        return slot if self._busy[slot] <= t else None
+    def _least_busy_slot(self):
+        return min(range(len(self._busy)), key=self._busy.__getitem__)
 
     def _dispatch(self, t):
         while True:
@@ -222,8 +227,8 @@ class Device:
                     self._queues[klass].clear()
                     self._qhead[klass] = 0
                 return
-            slot = self._idle_slot(t)
-            if slot is None:
+            slot = self._least_busy_slot()
+            if self._busy[slot] > t:
                 return
             # re-validate: drop cohorts whose state moved on while queued
             live = [c for c in req.cohorts
@@ -242,17 +247,7 @@ class Device:
                 self.dispatch_log.append(
                     (t, req.klass, self.queued_requests(EVICT),
                      self.queued_requests(PREFETCH)))
-            direction = TO_FLASH if req.write else TO_DRAM
-            for c in live:
-                if c.owner is not None:
-                    c.owner.remove(c)
-                self.model.transition(c, INFLIGHT, direction)
-            svc = service_time_us(self.profile, req.pages, req.write)
-            done = t + svc
-            self._busy[slot] = done
-            req.done_t = done
-            self.stats["busy_us"] += svc
-            self.sim.schedule(done, "io-done", lambda at, r=req: self._complete(r, at))
+            self._start(req, slot, t)
 
     # -- completion --------------------------------------------------------
 
@@ -268,8 +263,7 @@ class Device:
             else:
                 self.model.transition(c, DRAM)
             landed.append(c)
-        key = {DEMAND: "demand_ios", EVICT: "evict_ios", PREFETCH: "prefetch_ios"}
-        self.stats[key[req.klass]] += 1
+        self.stats[IOS_STAT[req.klass]] += 1
         if req.write:
             self.stats["pages_written"] += req.pages
         else:

@@ -144,18 +144,16 @@ ACTIVATING = "activating"
 
 class Context:
     __slots__ = (
-        "cid", "managed", "alive", "pages", "next_index", "total", "resident",
+        "cid", "alive", "pages", "total", "resident",
         # predictive-policy state; unused by the baseline
         "levels", "quota", "score", "window_count", "low_windows", "state",
         "hot_set",
     )
 
-    def __init__(self, cid, managed):
+    def __init__(self, cid):
         self.cid = cid
-        self.managed = managed
         self.alive = True
         self.pages = {}          # page index -> Cohort
-        self.next_index = 0
         self.total = 0
         self.resident = 0        # DRAM pages held by this context
         self.levels = None
@@ -182,10 +180,10 @@ class MemoryModel:
 
     # -- contexts ----------------------------------------------------------
 
-    def new_context(self, cid, managed=True) -> Context:
+    def new_context(self, cid) -> Context:
         if cid in self.contexts:
             raise SimulationError(f"duplicate context id {cid!r}")
-        ctx = Context(cid, managed)
+        ctx = Context(cid)
         self.contexts[cid] = ctx
         return ctx
 
@@ -196,8 +194,7 @@ class MemoryModel:
         if not ctx.alive:
             raise SimulationError(f"teardown of dead context {ctx.cid!r}")
         for c in set(ctx.pages.values()):
-            self._uncount(c)
-            c.tier = DEAD
+            self.transition(c, DEAD)
             if c.owner is not None:
                 c.owner.remove(c)
         ctx.pages.clear()
@@ -247,20 +244,6 @@ class MemoryModel:
 
     # -- tier transitions --------------------------------------------------
 
-    def _uncount(self, c: Cohort):
-        n = c.pages()
-        if c.tier == DRAM:
-            self.dram_used -= n
-            c.ctx.resident -= n
-        elif c.tier == FLASH:
-            self.flash_used -= n
-        elif c.tier == INFLIGHT:
-            self.inflight -= n
-            if c.dir == TO_DRAM:
-                self.inflight_in -= n
-        self.total -= n
-        c.ctx.total -= n
-
     def transition(self, c: Cohort, tier: int, direction=None):
         n = c.pages()
         if c.tier == tier and c.dir == direction:
@@ -296,6 +279,9 @@ class MemoryModel:
                     raise SimulationError("DRAM frame overcommit on inbound IO")
                 self.inflight_in += n
             c.dir = direction
+        elif tier == DEAD:                  # released for good
+            self.total -= n
+            c.ctx.total -= n
         else:
             raise SimulationError("bad tier")
         c.tier = tier

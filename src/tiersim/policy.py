@@ -1,0 +1,145 @@
+"""The page walk both tiering policies share, and the hooks they fill in.
+
+Policy.access_range walks pages [lo, hi) of one context in index order: a
+DRAM hit, a share of a read already in flight to DRAM, a wait on a victim
+still draining to flash, or a fault run on flash, extended across adjacent
+flash runs into one batched read when batch=True.
+"""
+
+from .core import SimulationError
+from .memory import DRAM, FLASH, INFLIGHT, TO_DRAM
+from .media import PREFETCH
+
+# Stored in an in-flight prefetched run's `prefetched` field once a fault
+# has shared its read: the read is credited as a prefetch hit once, and the
+# run lands as touched. The mark lives and dies with the run.
+HIT_IN_FLIGHT = "hit in flight"
+
+
+class AccessResult:
+    __slots__ = ("done_at", "wait", "next_idx")
+
+    def __init__(self, done_at, wait=None, next_idx=None):
+        self.done_at = done_at
+        self.wait = wait        # Handle to wait on before re-calling, or None
+        self.next_idx = next_idx
+
+
+class Policy:
+    """The shared walk, counters and defaults. A policy fills in the hooks:
+    `_on_hit(ctx, piece, t, split)` for a touched DRAM run (`split`: a
+    partial hit just cut it off a larger run), `_on_split(ctx, c, span, end)`
+    for what that cut left of c (which ran up to `end`), `_make_room(pages,
+    t)` to free frames for a fault cluster, returning the earliest start of
+    its read, and `_on_landed(req, landed, t)` when a demand read lands."""
+
+    def __init__(self, sim, model, device, fault_overhead_us):
+        self.sim = sim
+        self.model = model
+        self.device = device
+        self.fault_overhead_us = fault_overhead_us
+        self.counters = {
+            "demand_faults": 0,
+            "fault_clusters": 0,
+            "evictions": 0,
+            "prefetch_issued": 0,
+            "prefetch_hits": 0,
+            "mispredictions": 0,
+        }
+        self.access_log = None      # list of (t, cid, idx, op) when enabled
+
+    def _on_split(self, ctx, c, span, end):
+        pass
+
+    # -- interface used by workloads ---------------------------------------
+
+    def register(self, ctx):
+        return ctx
+
+    def on_teardown(self, ctx):
+        self.model.teardown(ctx)
+
+    def tick(self, t):
+        """No periodic work by default."""
+
+    def access_range(self, ctx, lo, hi, t, batch=False, write=False) -> AccessResult:
+        """Touch pages [lo, hi) in index order. Returns when the walk
+        finished (done_at) or must block on an unfinished write-back."""
+        if not ctx.alive:
+            raise SimulationError(f"access to dead context {ctx.cid!r}")
+        if self.access_log is not None:
+            self._log(t, ctx, lo, hi, "w" if write else "r")
+        cohort_at = ctx.pages.get
+        t_now = t
+        cur = lo
+        while cur < hi:
+            c = cohort_at(cur)
+            if c is None:
+                raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
+            span = min(c.hi, hi)
+            if c.tier == DRAM:
+                if c.lo == cur and c.hi <= hi:
+                    piece = c                   # the hit takes the whole run
+                else:
+                    end = c.hi
+                    piece = self.model.extract(c, cur, span)
+                    self._on_split(ctx, c, span, end)
+                if write:
+                    piece.dirty = True
+                self._on_hit(ctx, piece, t_now, piece is not c)
+                cur = span
+            elif c.tier == INFLIGHT:
+                if c.dir == TO_DRAM:
+                    # a read already covers us; share its wait
+                    pages = span - cur
+                    if c.io.klass == PREFETCH:
+                        if c.prefetched is not HIT_IN_FLIGHT:
+                            self.counters["prefetch_hits"] += pages
+                            c.prefetched = HIT_IN_FLIGHT
+                    else:
+                        self.counters["demand_faults"] += pages
+                        self.counters["fault_clusters"] += 1
+                    t_now = max(t_now, c.io.done_t)
+                    cur = span
+                else:
+                    # victim still draining to flash: block, then refault
+                    return AccessResult(t_now, wait=c.io.handle, next_idx=cur)
+            elif c.tier == FLASH:
+                run_end = span if batch else cur + 1
+                pieces = [self.model.extract(c, cur, run_end)]
+                if batch:
+                    # extend across adjacent missing cohorts
+                    while run_end < hi:
+                        nxt = cohort_at(run_end)
+                        if nxt is None or nxt.tier != FLASH:
+                            break
+                        stop = min(nxt.hi, hi)
+                        pieces.append(self.model.extract(nxt, run_end, stop))
+                        run_end = stop
+                pages = run_end - cur
+                t_now += self.fault_overhead_us
+                ready = self._make_room(pages, t_now)
+                if write:
+                    for p in pieces:
+                        p.dirty = True
+                read = self.device.submit_demand(pieces, t_now, not_before=ready,
+                                                 cb=self._on_landed)
+                self.counters["demand_faults"] += pages
+                self.counters["fault_clusters"] += 1
+                t_now = read.done_t
+                cur = run_end
+            else:
+                raise SimulationError(f"access to dead cohort {c!r}")
+        return AccessResult(t_now)
+
+    # -- diagnostics -------------------------------------------------------
+
+    def _log(self, t, ctx, lo, hi, op):
+        if self.access_log is not None:
+            for idx in range(lo, hi):
+                self.access_log.append((t, ctx.cid, idx, op))
+
+    def snapshot_counters(self) -> dict:
+        out = dict(self.counters)
+        out["writeback_pages"] = self.device.stats["pages_written"]
+        return out

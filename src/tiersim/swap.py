@@ -11,48 +11,39 @@ Allocation-driven reclaim evicts in clusters of `reclaim_batch` frames
 (surplus frames serve later allocations); fault-driven reclaim frees exactly
 one frame per missing page, which keeps fault behaviour equal to a textbook
 per-page LRU (the oracle tests depend on that).
+
+Accesses run the page walk shared with dmx (policy.py); the hooks here move
+a hit run to the MRU end, reclaim exactly a fault cluster's frames ahead of
+its read, and append landed reads at the MRU end.
 """
 
 from .core import SimulationError
-from .memory import DRAM, FLASH, INFLIGHT, TO_DRAM, PageList
-from .media import Device
+from .memory import DRAM, FLASH, PageList
+from .policy import Policy
 
 
-class AccessResult:
-    __slots__ = ("done_at", "wait", "next_idx")
-
-    def __init__(self, done_at, wait=None, next_idx=None):
-        self.done_at = done_at
-        self.wait = wait        # Handle to wait on before re-calling, or None
-        self.next_idx = next_idx
-
-
-class SwapPolicy:
+class SwapPolicy(Policy):
     name = "swap"
 
-    def __init__(self, sim, model, device: Device, fault_overhead_us=6000,
+    def __init__(self, sim, model, device, fault_overhead_us=6000,
                  reclaim_batch=32):
-        self.sim = sim
-        self.model = model
-        self.device = device
-        self.fault_overhead_us = fault_overhead_us
+        super().__init__(sim, model, device, fault_overhead_us)
         self.reclaim_batch = max(1, reclaim_batch)
         self.lru = PageList()
-        self.counters = {
-            "demand_faults": 0,
-            "fault_clusters": 0,
-            "evictions": 0,
-            "prefetch_issued": 0,   # always zero: no speculation here
-            "prefetch_hits": 0,
-            "mispredictions": 0,
-        }
-        self.access_log = None      # list of (t, cid, idx, op) when enabled
 
-    # -- internals ---------------------------------------------------------
+    # -- hooks of the shared walk ------------------------------------------
 
-    def _insert_mru(self, req, landed, t):
+    def _on_hit(self, ctx, piece, t, split):
+        self.lru.move_to_tail(piece)
+
+    def _make_room(self, pages, t):
+        return self._reclaim(pages - self.model.free_frames(), t, rounded=False)[0]
+
+    def _on_landed(self, req, landed, t):
         for c in landed:
             self.lru.append(c)
+
+    # -- internals ---------------------------------------------------------
 
     def _reclaim(self, need, t, rounded, exact=True):
         """Free frames from the LRU tail; returns (ready_at, freed). Dirty
@@ -87,16 +78,7 @@ class SwapPolicy:
         handle = self.device.submit_demand(dirty, t, write=True)
         return handle.done_t, freed
 
-    def _log(self, t, ctx, lo, hi, op):
-        if self.access_log is not None:
-            for idx in range(lo, hi):
-                self.access_log.append((t, ctx.cid, idx, op))
-
     # -- interface used by workloads ---------------------------------------
-
-    def register(self, ctx):
-        # no per-context state beyond what the model keeps
-        return ctx
 
     def on_allocate(self, ctx, lo, hi, t):
         """Materialize pages [lo, hi) in DRAM (they are born dirty). Returns
@@ -121,86 +103,3 @@ class SwapPolicy:
             cur += take
         self._log(t, ctx, lo, hi, "w")
         return ready
-
-    def access_range(self, ctx, lo, hi, t, batch=False, write=False) -> AccessResult:
-        """Touch pages [lo, hi) in index order. Hits cost nothing; each fault
-        cluster stalls for overhead + (write-back) + read. Returns when the
-        walk finished (done_at) or must block on an unfinished write-back.
-
-        batch=True folds a contiguous missing run into one fault cluster with
-        a single batched read (sequential-friendly clients); batch=False
-        faults strictly page by page.
-        """
-        if not ctx.alive:
-            raise SimulationError(f"access to dead context {ctx.cid!r}")
-        self._log(t, ctx, lo, hi, "w" if write else "r")
-        cohort_at = ctx.pages.get
-        t_now = t
-        cur = lo
-        while cur < hi:
-            c = cohort_at(cur)
-            if c is None:
-                raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
-            span = min(c.hi, hi)
-            if c.tier == DRAM:
-                if c.lo == cur and c.hi <= hi:
-                    piece = c                   # the hit takes the whole run
-                else:
-                    piece = self.model.extract(c, cur, span)
-                if write:
-                    piece.dirty = True
-                self.lru.move_to_tail(piece)
-                cur = span
-            elif c.tier == INFLIGHT:
-                if c.dir == TO_DRAM:
-                    # someone else's demand read covers us; share the wait
-                    pages = span - cur
-                    self.counters["demand_faults"] += pages
-                    self.counters["fault_clusters"] += 1
-                    t_now = max(t_now, c.io.done_t)
-                    cur = span
-                else:
-                    # victim still draining to flash: block, then refault
-                    return AccessResult(t_now, wait=c.io.handle, next_idx=cur)
-            elif c.tier == FLASH:
-                run_end = span if batch else cur + 1
-                pieces = [self.model.extract(c, cur, run_end)]
-                if batch:
-                    # extend across adjacent missing cohorts
-                    while run_end < hi:
-                        nxt = cohort_at(run_end)
-                        if nxt is None or nxt.tier != FLASH:
-                            break
-                        stop = min(nxt.hi, hi)
-                        pieces.append(self.model.extract(nxt, run_end, stop))
-                        run_end = stop
-                pages = run_end - cur
-                t_now += self.fault_overhead_us
-                ready, _ = self._reclaim(pages - self.model.free_frames(),
-                                         t_now, rounded=False)
-                for p in pieces:
-                    if write:
-                        p.dirty = True
-                read = self.device.submit_demand(pieces, t_now, not_before=ready,
-                                                 cb=self._insert_mru)
-                self.counters["demand_faults"] += pages
-                self.counters["fault_clusters"] += 1
-                t_now = read.done_t
-                cur = run_end
-            else:
-                raise SimulationError(f"access to dead cohort {c!r}")
-        return AccessResult(t_now)
-
-    def on_teardown(self, ctx):
-        for c in set(ctx.pages.values()):
-            if c.owner is self.lru:
-                self.lru.remove(c)
-        self.model.teardown(ctx)
-
-    def tick(self, t):
-        """The baseline has no periodic work; present for interface parity."""
-
-    def snapshot_counters(self) -> dict:
-        out = dict(self.counters)
-        out["writeback_pages"] = self.device.stats["pages_written"]
-        return out

@@ -17,8 +17,8 @@ def build(dram=256, flash=8192, profile="flash", **overrides):
     return sim, model, Device(sim, model, prof)
 
 
-def mq_law_holds(model, levels_attr=True):
-    """Every DRAM cohort of a managed context satisfies freq >= 2^level."""
+def mq_law_holds(model):
+    """Every DRAM cohort of a context dmx registered satisfies freq >= 2^level."""
     for ctx in model.contexts.values():
         if ctx.levels is None:
             continue

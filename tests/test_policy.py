@@ -1,0 +1,101 @@
+"""The shared page walk and the hooks each policy fills in."""
+
+import pytest
+
+from helpers import build
+from tiersim.dmx import DmxPolicy
+from tiersim.memory import DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH
+from tiersim.swap import SwapPolicy
+from tiersim.workload import walk_ranges
+
+
+def spy_on_hooks(pol):
+    """Record every call of the walk's hooks as (hook, detail), then run
+    the policy's own hook."""
+    calls = []
+    details = {
+        "_on_hit": lambda ctx, piece, t, split: (piece.lo, piece.hi, split),
+        "_make_room": lambda pages, t: pages,
+        "_on_landed": lambda req, landed, t: [(c.lo, c.hi) for c in landed],
+    }
+    for hook, detail in details.items():
+        fn = getattr(pol, hook)
+
+        def spy(*args, hook=hook, fn=fn, detail=detail):
+            calls.append((hook, detail(*args)))
+            return fn(*args)
+        setattr(pol, hook, spy)
+    return calls
+
+
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_walk_calls_each_hook_once_per_piece_cluster_and_read(policy_cls):
+    sim, m, dev = build(dram=64, flash=1024)
+    pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+    ctx = pol.register(m.new_context("a"))
+    pol.on_allocate(ctx, 0, 8, 0)
+    m.create(ctx, 8, 12, tier=FLASH, dirty=False)
+    m.create(ctx, 12, 16, tier=FLASH, dirty=False)
+    m.create(ctx, 16, 19, tier=FLASH, dirty=False)
+    calls = spy_on_hooks(pol)
+
+    pol.access_range(ctx, 0, 8, 10)                 # whole-run hit
+    pol.access_range(ctx, 2, 4, 20)                 # partial hit
+    assert calls == [("_on_hit", (0, 8, False)), ("_on_hit", (2, 4, True))]
+    del calls[:]
+    pol.access_range(ctx, 0, 8, 30)                 # three whole runs
+    assert calls == [("_on_hit", (0, 2, False)), ("_on_hit", (2, 4, False)),
+                     ("_on_hit", (4, 8, False))]
+    del calls[:]
+
+    # one batched cluster across two flash runs, then a walk that shares
+    # its read in flight and calls no hook
+    pol.access_range(ctx, 8, 16, 40, batch=True)
+    assert calls == [("_make_room", 8)]
+    assert ctx.pages[9].tier == INFLIGHT and ctx.pages[9].dir == TO_DRAM
+    pol.access_range(ctx, 9, 11, 41)
+    assert calls == [("_make_room", 8)]
+    # unbatched: one cluster per page
+    pol.access_range(ctx, 16, 19, 50, batch=False)
+    assert calls[1:] == [("_make_room", 1)] * 3
+    del calls[:]
+
+    sim.drain()                                     # short reads land first
+    assert sorted(calls) == [("_on_landed", [(8, 12), (12, 16)]),
+                             ("_on_landed", [(16, 17)]),
+                             ("_on_landed", [(17, 18)]),
+                             ("_on_landed", [(18, 19)])]
+    assert dev.stats["demand_ios"] == 4
+    assert pol.counters["demand_faults"] == 8 + 2 + 3
+    assert pol.counters["fault_clusters"] == 1 + 1 + 3
+    assert all(ctx.pages[i].tier == DRAM for i in range(19))
+    m.check_full()
+
+
+def test_dmx_window_counts_each_walked_page_once():
+    sim, m, dev = build(dram=64, flash=1024)
+    pol = DmxPolicy(sim, m, dev, floor_pages=0)
+    ctx = pol.register(m.new_context("a"))
+    pol.on_allocate(ctx, 0, 8, 0)
+    m.create(ctx, 8, 12, tier=FLASH, dirty=False)
+    pol.access_range(ctx, 0, 4, 1)                  # [0, 4) climbs a level
+    ctx.quota = 4
+    pol._take_victims(4, 1)                         # so [4, 8) drains
+    assert ctx.pages[4].tier == INFLIGHT and ctx.pages[4].dir == TO_FLASH
+    pol.access_range(ctx, 8, 12, 1, batch=True)     # a read in flight
+    before = ctx.window_count
+    ends = []
+
+    # shares the read, hits [0, 4), waits at page 4, then faults [4, 8)
+    walk_ranges(pol, ctx, [(8, 12), (0, 8)], 2, batch=True, write=False,
+                done=ends.append)
+    assert not ends
+    assert pol.counters["demand_evict_waits"] == 1
+    assert ctx.window_count == before + 4 + 4
+    sim.drain()
+    assert len(ends) == 1
+    assert pol.counters["demand_evict_waits"] == 1
+    assert ctx.window_count == before + 12
+    assert all(ctx.pages[i].tier == DRAM for i in range(12))
+    m.check_full()
