@@ -5,6 +5,9 @@ number breaks ties), so a run is a pure function of config + seed.
 """
 
 import heapq
+import sys
+from array import array
+from itertools import chain, count
 
 US_PER_S = 1_000_000
 
@@ -15,44 +18,92 @@ class SimulationError(Exception):
     """Fatal model violation; the CLI maps this to exit code 2."""
 
 
+# SplitMix64 is counter-based: output k of a stream whose state is s is the
+# mix of s + k * _GAMMA alone. So _block computes BLOCK outputs at once, one
+# per lane of a single int: lane k sits at bit _LANE * k and holds
+# state + (k + 1) * _GAMMA. A lane is 128 bits wide so that a 64-bit lane
+# times a 64-bit constant fits in it, and every sum, shift and product is
+# masked back to 64 bits per lane before the next step can carry a bit
+# into a neighbour. The last xor-shift needs no mask: the unpack reads only
+# each lane's low 64 bits.
+BLOCK = 256
+_LANE = 128
+_GAMMA = 0x9E3779B97F4A7C15
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack(values):
+    """One int holding values[k] in lane k."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE // 8, "little")
+                                   for v in values), "little")
+
+
+_ONES = _pack([1] * BLOCK)
+_LANES64 = _pack([_MASK64] * BLOCK)
+_STEPS = _pack([((k + 1) * _GAMMA) & _MASK64 for k in range(BLOCK)])
+
+
+def _block(state: int) -> array:
+    """The BLOCK outputs that follow `state` (taken modulo 2**64), as an
+    array of 64-bit ints."""
+    z = ((state & _MASK64) * _ONES + _STEPS) & _LANES64
+    z = ((z ^ (z >> 30)) & _LANES64) * 0xBF58476D1CE4E5B9 & _LANES64
+    z = ((z ^ (z >> 27)) & _LANES64) * 0x94D049BB133111EB & _LANES64
+    lanes = array("Q", (z ^ (z >> 31)).to_bytes(_LANE // 8 * BLOCK, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes[::_LANE // 64]
+
+
 class SplitMix64:
     """Deterministic 64-bit generator (Steele et al. constants).
 
     Integer-only so streams are identical on every platform; cheap to fork
-    into independent substreams via derive().
+    into independent substreams via fork().
+
+    Outputs are computed BLOCK at a time by _block and read from one
+    iterator, `outputs`, which next_u64, random and randrange all consume:
+    any mix of readers sees the one sequence. Hot loops may read `outputs`
+    directly. `_state` counts the states the blocks start from; it is
+    drawn when a block is computed, so it runs up to a block ahead of what
+    has been read.
     """
 
-    __slots__ = ("seed", "_state")
+    __slots__ = ("seed", "_state", "outputs")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._state = seed & _MASK64
+        self._state = count(self.seed, BLOCK * _GAMMA)
+        self.outputs = chain.from_iterable(map(_block, self._state))
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self.outputs)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError(f"randrange bound must be positive, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = rejection_limit(n)
+        outputs = self.outputs
         while True:
-            v = self.next_u64()
+            v = next(outputs)
             if v < limit:
                 return v % n
 
     def random(self) -> float:
         # 53 mantissa bits -> uniform in [0, 1)
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        return (next(self.outputs) >> 11) * 2.0 ** -53
 
     def fork(self, salt: int) -> "SplitMix64":
         """Independent substream keyed off the original seed, not current state,
         so fork order does not depend on how much this stream was consumed."""
         return SplitMix64(mix_seed(self.seed, salt))
+
+
+def rejection_limit(n: int) -> int:
+    """randrange(n) keeps an output below this limit, a multiple of n, and
+    returns it modulo n, so that every residue is equally likely."""
+    if n <= 0:
+        raise ValueError(f"randrange bound must be positive, got {n}")
+    return (1 << 64) - ((1 << 64) % n)
 
 
 def mix_seed(*parts: int) -> int:

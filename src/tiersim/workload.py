@@ -15,11 +15,11 @@ pages, then finishes after a fixed compute time; threads are closed-loop
 with zero think time. Hot draws are rank-weighted by a power-law skew.
 """
 
-import bisect
+from bisect import bisect_left
 from functools import partial
 from itertools import accumulate
 
-from .core import SimulationError
+from .core import SimulationError, rejection_limit
 
 MIB = 2 ** 20
 PAGE = 4096
@@ -72,7 +72,6 @@ class NoiseSystem:
                  think_us=150_000, scale=1024):
         self.sim = sim
         self.policy = policy
-        self.rng = rng
         self.clients = clients
         self.think_us = think_us
         self.catalog = NoiseCatalog(scale)
@@ -84,6 +83,12 @@ class NoiseSystem:
             self.contexts.append(ctx)
             self.seen.append([False] * len(self.catalog.images))
         self.requests = 0
+        # _step draws rng.randrange(containers), then rng.randrange(images),
+        # from rng's output stream directly (with no container it never runs)
+        self._u64 = rng.outputs.__next__
+        self._images = len(self.catalog.images)
+        self._ctx_limit = rejection_limit(max(containers, 1))
+        self._img_limit = rejection_limit(self._images)
 
     def start(self):
         if not self.contexts:
@@ -94,8 +99,15 @@ class NoiseSystem:
                               "noise-wake", self._step)
 
     def _step(self, t):
-        k = self.rng.randrange(len(self.contexts))
-        img = self.rng.randrange(len(self.catalog.images))
+        u64 = self._u64
+        v = u64()
+        while v >= self._ctx_limit:
+            v = u64()
+        k = v % len(self.contexts)
+        v = u64()
+        while v >= self._img_limit:
+            v = u64()
+        img = v % self._images
         ctx = self.contexts[k]
         lo, hi = self.catalog.images[img]
         self.requests += 1
@@ -119,7 +131,6 @@ class CriticalService:
         self.sim = sim
         self.policy = policy
         self.collector = collector
-        self.rng = rng
         self.threads = threads
         self.base_service_us = base_service_us
         self.hot_records = hot_records
@@ -136,6 +147,15 @@ class CriticalService:
         self.cum_weight = list(accumulate(
             (r + 1) ** -skew for r in range(hot_records)))
         self.completed = 0
+        # draw_record reads rng's output stream directly: rng.random() is
+        # (v >> 11) * 2.0 ** -53 and rng.randrange(n) rejects v >= its limit
+        self._u64 = rng.outputs.__next__
+        # u = x * total weight with x < 1 rounds to at most the total, the
+        # last cum_weight, so bisect_left(cum_weight, u) < hot_records
+        self._total_weight = self.cum_weight[-1]
+        self._hot = [(lo, lo + hot_record_pages)
+                     for lo in range(0, self.hot_pages, hot_record_pages)]
+        self._cold_limit = rejection_limit(max(cold_records, 1))
 
     def start(self):
         self.policy.on_allocate(self.ctx, 0, self.total_pages, 0)
@@ -143,14 +163,15 @@ class CriticalService:
             self._begin(0)
 
     def draw_record(self):
-        if self.cold_records and self.rng.random() < self.cold_frac:
-            j = self.rng.randrange(self.cold_records)
-            lo = self.hot_pages + j * self.cold_record_pages
+        u64 = self._u64
+        if self.cold_records and (u64() >> 11) * 2.0 ** -53 < self.cold_frac:
+            v = u64()
+            while v >= self._cold_limit:
+                v = u64()
+            lo = self.hot_pages + v % self.cold_records * self.cold_record_pages
             return (lo, lo + self.cold_record_pages)
-        u = self.rng.random() * self.cum_weight[-1]
-        r = min(bisect.bisect_left(self.cum_weight, u), self.hot_records - 1)
-        lo = r * self.hot_record_pages
-        return (lo, lo + self.hot_record_pages)
+        u = ((u64() >> 11) * 2.0 ** -53) * self._total_weight
+        return self._hot[bisect_left(self.cum_weight, u)]
 
     def _begin(self, t):
         ranges = [self.draw_record() for _ in range(self.draws_per_txn)]

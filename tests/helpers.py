@@ -5,6 +5,7 @@ from dataclasses import replace
 from tiersim.core import Simulator
 from tiersim.memory import MemoryModel
 from tiersim.media import Device, PROFILES
+from tiersim.policy import AccessResult
 
 
 def build(dram=256, flash=8192, profile="flash", **overrides):
@@ -41,3 +42,23 @@ def dmx_wheel_is_exact(pol):
     got = [(id(c), key) for key, bucket in pol._expiry.items() for c in bucket]
     return (all(bucket for bucket in pol._expiry.values())
             and len(got) == len(want) and dict(got) == want)
+
+
+class RecordingPolicy:
+    """A policy stand-in for workload tests: it registers contexts and
+    records (cid, lo, hi), in call order, for every allocation and every
+    range a walk touches; every access hits at once."""
+
+    def __init__(self):
+        self.touched = []
+
+    def register(self, ctx):
+        return ctx
+
+    def on_allocate(self, ctx, lo, hi, t):
+        self.touched.append((ctx.cid, lo, hi))
+        return t
+
+    def access_range(self, ctx, lo, hi, t, batch=False, write=False):
+        self.touched.append((ctx.cid, lo, hi))
+        return AccessResult(t)

@@ -4,6 +4,10 @@ Deliberately slow and obvious: flat lists, linear scans, no code or data
 structures shared with the package under test.
 """
 
+import bisect
+
+_MASK64 = (1 << 64) - 1
+
 
 class LruOracle:
     """Page-granular strict LRU. Pages are born at the MRU end (allocation
@@ -65,3 +69,75 @@ def victim_order_reference(levels, t, expiry):
             (c for c in plist if c.io is None),
             key=lambda c: (c.freq, 0 if expiry(c) <= t else 1, c.lo)))
     return order
+
+
+class splitmix64_reference:
+    """SplitMix64 one output per call, as the scalar recurrence defines it:
+    the reference the block-computed generator must match output for
+    output, whichever reader consumes it."""
+
+    def __init__(self, seed):
+        self.seed = seed & _MASK64
+        self._state = seed & _MASK64
+
+    def next_u64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def randrange(self, n):
+        if n <= 0:
+            raise ValueError(f"randrange bound must be positive, got {n}")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            v = self.next_u64()
+            if v < limit:
+                return v % n
+
+    def random(self):
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def fork(self, salt):
+        return splitmix64_reference(mix_seed_reference(self.seed, salt))
+
+
+def mix_seed_reference(*parts):
+    acc = 0x243F6A8885A308D3
+    for p in parts:
+        g = splitmix64_reference((acc ^ (p & _MASK64)) & _MASK64)
+        acc = g.next_u64()
+    return acc
+
+
+class ReplayedStream(splitmix64_reference):
+    """The reference readers over a given list of outputs instead of the
+    recurrence, for streams a real seed would almost never produce."""
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self.outputs = iter(outputs)
+
+    def next_u64(self):
+        return next(self.outputs)
+
+
+def draw_record_reference(svc, rng):
+    """CriticalService.draw_record written with the generator's readers."""
+    if svc.cold_records and rng.random() < svc.cold_frac:
+        j = rng.randrange(svc.cold_records)
+        lo = svc.hot_pages + j * svc.cold_record_pages
+        return (lo, lo + svc.cold_record_pages)
+    u = rng.random() * svc.cum_weight[-1]
+    r = min(bisect.bisect_left(svc.cum_weight, u), svc.hot_records - 1)
+    lo = r * svc.hot_record_pages
+    return (lo, lo + svc.hot_record_pages)
+
+
+def noise_pick_reference(noise, rng):
+    """The (container, image) a NoiseSystem request picks, written with the
+    generator's readers."""
+    k = rng.randrange(len(noise.contexts))
+    img = rng.randrange(len(noise.catalog.images))
+    return k, img

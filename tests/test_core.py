@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from tiersim.core import Simulator, SplitMix64, SimulationError, mix_seed
+from oracles import mix_seed_reference, splitmix64_reference
+from tiersim.core import (BLOCK, Simulator, SplitMix64, SimulationError, _block,
+                          mix_seed)
 
 
 def test_empty_run_advances_clock_and_processes_nothing():
@@ -117,3 +121,54 @@ def test_mix_seed_is_order_sensitive():
     assert mix_seed(1, 2) != mix_seed(2, 1)
     assert mix_seed(1) != mix_seed(1, 0)
     assert mix_seed(9, 9) == mix_seed(9, 9)
+
+
+SEEDS = [0, 1, 2 ** 64 - 1, -1] + [random.Random(2014 + i).getrandbits(64)
+                                    for i in range(4)]
+LENGTH = 3 * BLOCK + 7
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_stream_matches_the_scalar_reference(seed):
+    g, ref = SplitMix64(seed), splitmix64_reference(seed)
+    assert [g.next_u64() for _ in range(LENGTH)] == \
+           [ref.next_u64() for _ in range(LENGTH)]
+
+
+def test_block_takes_its_state_modulo_2_64():
+    """The stream's block states count up without bound; a block depends
+    on its state's low 64 bits alone."""
+    ref = splitmix64_reference(12345)
+    want = [ref.next_u64() for _ in range(BLOCK)]
+    for high in (1 << 64, 1 << 200, -(1 << 64)):
+        assert list(_block(12345 + high)) == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_readers_cross_block_boundaries(seed):
+    """next_u64, random and randrange (some bounds reject almost half the
+    outputs) in a seeded order read one stream, as they do from the
+    reference, across several block boundaries."""
+    g, ref = SplitMix64(seed), splitmix64_reference(seed)
+    order = random.Random(seed)
+    bounds = (1, 7, 1500, 2 ** 63 + 1, 2 ** 64 - 1)
+    got, want = [], []
+    for _ in range(2 * LENGTH):
+        reader = order.choice(("next_u64", "random", "randrange"))
+        args = (order.choice(bounds),) if reader == "randrange" else ()
+        got.append(getattr(g, reader)(*args))
+        want.append(getattr(ref, reader)(*args))
+    assert got == want
+    assert g.next_u64() == ref.next_u64()
+
+
+def test_fork_and_mix_seed_match_the_reference():
+    parts = [random.Random(7 + i).getrandbits(64) for i in range(6)]
+    for seed in SEEDS:
+        assert mix_seed(seed) == mix_seed_reference(seed)
+        assert mix_seed(seed, *parts) == mix_seed_reference(seed, *parts)
+        for salt in (1, 2, -1):
+            g, ref = SplitMix64(seed).fork(salt), splitmix64_reference(seed).fork(salt)
+            assert g.seed == ref.seed
+            assert [g.next_u64() for _ in range(BLOCK + 1)] == \
+                   [ref.next_u64() for _ in range(BLOCK + 1)]

@@ -15,7 +15,11 @@ cover what it leaves out:
 - seeded walks over multi-page records through both policies, with
   partial and whole-cohort hits, reads and writes, and walks that wait
   and resume, pinned by the state they leave;
-- the default disk-swap sweep at 3 s per point.
+- the default disk-swap sweep at 3 s per point;
+- the workload draw streams: the first 100,000 records a default critical
+  service draws, and 100,000 noise requests' (container, image) picks at
+  25 containers, at seeds 1 and 42, so a change to how the generator
+  produces its outputs shows here before it reaches a sweep.
 A strict xfail runs the same walks with longer ranges, which abort today,
 so the fix of that defect shows as an unexpected pass.
 
@@ -33,16 +37,18 @@ tests passing as they are.
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import build
+from helpers import RecordingPolicy, build
 from tiersim.config import resolve
-from tiersim.core import SimulationError
+from tiersim.core import SimulationError, SplitMix64
 from tiersim.dmx import DmxPolicy
 from tiersim.experiment import run_sweep, run_trace
+from tiersim.memory import MemoryModel
 from tiersim.swap import SwapPolicy
-from tiersim.workload import walk_ranges
+from tiersim.workload import CriticalService, NoiseSystem, walk_ranges
 
 SWEEP_SHA256 = "77b2c26a4e0cd5d27aabdf7e086135e66310fc1dfd9acf0626a83e619fae8f5c"
 DISK_SWEEP_SHA256 = "698d579930a742c527ed37521a815be624b30cb4c9e51937168ed5f9b04332b9"
@@ -54,6 +60,15 @@ WALKS_SHA256 = {
     "swap": "76db5c598fefab393e131907ecf9c3643c402769d09da3dacaf394287a0fdda6",
     "dmx": "0f6572db334cf96a679b96ad8a62c1b6233021c42e855280dac9459eb1e83b0b",
 }
+
+DRAWS_SHA256 = {
+    ("critical", 1): "cad62f4768ad401838cab0d2447412f3d0e030afc1fa13bd826dd7703c1056d8",
+    ("critical", 42): "e81ad4c3db00de6c7d0572cd2c5f72dc592afdcbce639f0104710a3057fa7027",
+    ("noise", 1): "a7c6ba7c71b49aa10462fec66e42004f838aab40d76d94f6b53dfd8cb20534e1",
+    ("noise", 42): "2b0a33552801cb6bb2212a8b875c856aa368ff79297fab0a44f712e63d3d3a66",
+}
+# _step schedules the request's next wake; these pins run no simulation
+NO_SIM = SimpleNamespace(schedule=lambda at, kind, fn: None)
 
 
 def sha256_of(path):
@@ -148,6 +163,28 @@ def run_seeded_walks(policy_cls, seed=3, walks=400, max_pages=12):
                          ids=["swap", "dmx"])
 def test_seeded_walks_leave_the_pinned_state(policy_cls):
     assert run_seeded_walks(policy_cls) == WALKS_SHA256[policy_cls.name]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_critical_record_draws_are_pinned(seed):
+    svc = CriticalService(NO_SIM, MemoryModel(16, 16), RecordingPolicy(),
+                          None, SplitMix64(seed))
+    records = [svc.draw_record() for _ in range(100_000)]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == DRAWS_SHA256["critical", seed]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_noise_picks_are_pinned(seed):
+    """Each request either births its image or walks it; the recording
+    policy logs (container, first page, end page) either way."""
+    pol = RecordingPolicy()
+    noise = NoiseSystem(NO_SIM, MemoryModel(16, 16), pol, SplitMix64(seed),
+                        containers=25, clients=1)
+    for _ in range(100_000):
+        noise._step(0)
+    digest = hashlib.sha256(repr(pol.touched).encode()).hexdigest()
+    assert digest == DRAWS_SHA256["noise", seed]
 
 
 @pytest.mark.xfail(strict=True, raises=SimulationError,

@@ -1,11 +1,14 @@
 import gc
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import build
-from tiersim.core import SimulationError, SplitMix64
+from helpers import RecordingPolicy, build
+from oracles import (ReplayedStream, draw_record_reference,
+                     noise_pick_reference, splitmix64_reference)
+from tiersim.core import SimulationError, SplitMix64, Simulator
 from tiersim.dmx import DmxPolicy
-from tiersim.memory import FLASH
+from tiersim.memory import FLASH, MemoryModel
 from tiersim.metrics import Collector
 from tiersim.swap import SwapPolicy
 from tiersim.workload import (
@@ -212,6 +215,97 @@ def test_cold_fraction_one_draws_only_cold_records():
         lo, hi = svc.draw_record()
         assert lo >= svc.hot_pages
         assert hi - lo == svc.cold_record_pages
+
+
+# -- draws against the reference formulas ---------------------------------
+
+TOP = 1 << 64
+
+
+def replayed(outputs):
+    """A generator stand-in whose output stream is the given list."""
+    return SimpleNamespace(outputs=iter(outputs))
+
+
+def limit_of(n):
+    limit = TOP - TOP % n
+    assert limit < TOP      # some outputs are rejected
+    return limit
+
+
+def test_cold_pick_skips_outputs_at_or_above_the_limit():
+    limit = limit_of(1500)
+    outputs = [0, limit, TOP - 1, limit - 1, TOP - 1, 2 ** 63, 5, 7]
+    svc = CriticalService(Simulator(), MemoryModel(16, 16), RecordingPolicy(),
+                          None, replayed(outputs))
+    ref = ReplayedStream(outputs)
+    got = [svc.draw_record() for _ in range(3)]
+    assert got == [draw_record_reference(svc, ref) for _ in range(3)]
+    # the cold test (0), two rejections, cold record (limit - 1) % 1500;
+    # then a hot draw, and a cold one with nothing to reject
+    lo = svc.hot_pages + (limit - 1) % 1500 * 12
+    assert got[0] == (lo, lo + 12)
+    assert got[1][1] - got[1][0] == 32
+    assert got[2] == (svc.hot_pages + 7 * 12, svc.hot_pages + 8 * 12)
+
+
+def test_noise_picks_skip_outputs_at_or_above_their_limits():
+    ctx_limit, img_limit = limit_of(25), limit_of(680)
+    outputs = [ctx_limit, TOP - 1, 30, img_limit, img_limit + 1, 700,
+               ctx_limit - 1, img_limit - 1]
+    pol = RecordingPolicy()
+    noise = NoiseSystem(Simulator(), MemoryModel(16, 16), pol,
+                        replayed(outputs), containers=25, clients=1)
+    ref = ReplayedStream(outputs)
+    noise._step(0)
+    noise._step(0)
+    want = [noise_pick_reference(noise, ref) for _ in range(2)]
+    assert want == [(30 % 25, 700 % 680),
+                    ((ctx_limit - 1) % 25, (img_limit - 1) % 680)]
+    assert pol.touched == [(f"noise-{k}",) + noise.catalog.images[img]
+                           for k, img in want]
+
+
+@pytest.mark.parametrize("params", [
+    {}, {"cold_records": 0}, {"cold_frac": 0.0}, {"cold_frac": 1.0},
+    {"skew": 0.0}, {"hot_records": 1, "cold_frac": 0.5},
+], ids=["default", "no-cold", "cold-frac-0", "cold-frac-1", "skew-0", "one-hot"])
+def test_draws_match_the_reference_formulas(params):
+    rng, ref = SplitMix64(21), splitmix64_reference(21)
+    svc = CriticalService(Simulator(), MemoryModel(16, 16), RecordingPolicy(),
+                          None, rng, **params)
+    assert [svc.draw_record() for _ in range(5000)] == \
+           [draw_record_reference(svc, ref) for _ in range(5000)]
+    # as many outputs consumed: with no cold records, no cold test draw
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("draws", [1, 3])
+def test_each_transaction_walks_draws_per_txn_records(draws):
+    sim = Simulator()
+    pol = RecordingPolicy()
+    svc = CriticalService(sim, MemoryModel(16, 16), pol,
+                          Collector(0, 1_000_000), SplitMix64(8), threads=1,
+                          draws_per_txn=draws)
+    svc.start()
+    sim.run(100_000)
+    ref = splitmix64_reference(8)
+    walked = pol.touched[1:]        # after the allocation start() makes
+    assert svc.completed == 20 and len(walked) == 21 * draws
+    assert walked == [("critical",) + draw_record_reference(svc, ref)
+                      for _ in walked]
+
+
+def test_noise_picks_match_the_reference():
+    pol = RecordingPolicy()
+    noise = NoiseSystem(Simulator(), MemoryModel(16, 16), pol, SplitMix64(4),
+                        containers=3, clients=1)
+    ref = splitmix64_reference(4)
+    for _ in range(3000):
+        noise._step(0)
+    picks = [noise_pick_reference(noise, ref) for _ in range(3000)]
+    assert pol.touched == [(f"noise-{k}",) + noise.catalog.images[img]
+                           for k, img in picks]
 
 
 def test_resident_transactions_cost_exactly_base_service():
