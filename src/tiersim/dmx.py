@@ -43,7 +43,8 @@ prefetches the snapshot back and the context rejoins the active set once
 the prefetch lands.
 
 Accesses run the page walk shared with swap (policy.py); the hooks here
-re-arm a hit run, take victims for a fault cluster and enqueue landed reads.
+re-arm a hit run, take victims for a fault cluster, enqueue landed reads
+and count walked pages toward the activity window.
 """
 
 from bisect import bisect_left
@@ -55,7 +56,7 @@ from .memory import (
     DRAM, FLASH, PageList, ACTIVE, DORMANT, ACTIVATING,
 )
 from .media import EVICT, PREFETCH
-from .policy import HIT_IN_FLIGHT, AccessResult, Policy
+from .policy import HIT_IN_FLIGHT, Policy
 
 # After a selection a victim index may hold this many heap and wheel
 # entries per listed run, plus INDEX_SLACK, before it is dropped and rebuilt
@@ -235,7 +236,7 @@ class DmxPolicy(Policy):
         return ctx
 
     def on_teardown(self, ctx):
-        for c in set(ctx.pages.values()):
+        for c in dict.fromkeys(ctx.pages.values()):
             if c.tier == DRAM and c.prefetched:
                 self.counters["mispredictions"] += c.pages()
         for plist in ctx.levels:
@@ -308,6 +309,18 @@ class DmxPolicy(Policy):
             if right.level or right.freq != 1:
                 self._wheel_add(right)
             self._mark_changed(ctx, right)
+
+    def _on_walked(self, ctx, lo, end, t, waited):
+        """The walked pages [lo, end) count toward the window (no tick runs
+        inside one walk). A dormant context wakes once a walk completes: by
+        then the touched pages are in flight as demand reads, so the
+        reactivation prefetch covers exactly the rest of the hot set. A
+        wait-exit leaves it dormant; the resumed walk finishes the job."""
+        if waited:              # stopped at a victim still draining
+            self.counters["demand_evict_waits"] += 1
+        elif ctx.state == DORMANT:
+            self._wake(ctx, t)
+        ctx.window_count += end - lo
 
     def _expire_sweep(self, t):
         idx = t // self.window_us
@@ -543,18 +556,3 @@ class DmxPolicy(Policy):
             self._wake(ctx, t)
         self._log(t, ctx, lo, hi, "w")
         return t
-
-    def access_range(self, ctx, lo, hi, t, batch=False, write=False) -> AccessResult:
-        """The shared walk; the walked pages then count toward the window (no
-        tick runs inside one call). A dormant context wakes once the walk is
-        done: by then the touched pages are in flight as demand reads, so the
-        reactivation prefetch covers exactly the rest of the hot set (a
-        wait-exit leaves it dormant and the resumed walk finishes the job)."""
-        res = Policy.access_range(self, ctx, lo, hi, t, batch, write)
-        if res.wait is not None:    # stopped at a victim still draining
-            self.counters["demand_evict_waits"] += 1
-            hi = res.next_idx
-        elif ctx.state == DORMANT:
-            self._wake(ctx, t)
-        ctx.window_count += hi - lo
-        return res

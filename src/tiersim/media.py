@@ -212,7 +212,9 @@ class Device:
         return handle
 
     def _least_busy_slot(self):
-        return min(range(len(self._busy)), key=self._busy.__getitem__)
+        """The first of the slots that free up soonest."""
+        busy = self._busy
+        return busy.index(min(busy))
 
     def _dispatch(self, t):
         while True:
@@ -277,6 +279,3 @@ class Device:
 
     def queued_requests(self, klass) -> int:
         return len(self._queues[klass]) - self._qhead[klass]
-
-    def bytes_moved(self) -> int:
-        return (self.stats["pages_read"] + self.stats["pages_written"]) * PAGE_BYTES

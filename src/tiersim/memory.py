@@ -193,7 +193,7 @@ class MemoryModel:
         by tier checks."""
         if not ctx.alive:
             raise SimulationError(f"teardown of dead context {ctx.cid!r}")
-        for c in set(ctx.pages.values()):
+        for c in dict.fromkeys(ctx.pages.values()):
             self.transition(c, DEAD)
             if c.owner is not None:
                 c.owner.remove(c)

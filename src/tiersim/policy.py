@@ -16,22 +16,15 @@ from .media import PREFETCH
 HIT_IN_FLIGHT = "hit in flight"
 
 
-class AccessResult:
-    __slots__ = ("done_at", "wait", "next_idx")
-
-    def __init__(self, done_at, wait=None, next_idx=None):
-        self.done_at = done_at
-        self.wait = wait        # Handle to wait on before re-calling, or None
-        self.next_idx = next_idx
-
-
 class Policy:
     """The shared walk, counters and defaults. A policy fills in the hooks:
     `_on_hit(ctx, piece, t, split)` for a touched DRAM run (`split`: a
     partial hit just cut it off a larger run), `_on_split(ctx, c, span, end)`
     for what that cut left of c (which ran up to `end`), `_make_room(pages,
     t)` to free frames for a fault cluster, returning the earliest start of
-    its read, and `_on_landed(req, landed, t)` when a demand read lands."""
+    its read, `_on_landed(req, landed, t)` when a demand read lands, and
+    `_on_walked(ctx, lo, end, t, waited)` once per call when the walk of
+    pages [lo, end) stops, at a wait-exit (`waited`) or at its end."""
 
     def __init__(self, sim, model, device, fault_overhead_us):
         self.sim = sim
@@ -51,6 +44,9 @@ class Policy:
     def _on_split(self, ctx, c, span, end):
         pass
 
+    def _on_walked(self, ctx, lo, end, t, waited):
+        pass
+
     # -- interface used by workloads ---------------------------------------
 
     def register(self, ctx):
@@ -62,9 +58,14 @@ class Policy:
     def tick(self, t):
         """No periodic work by default."""
 
-    def access_range(self, ctx, lo, hi, t, batch=False, write=False) -> AccessResult:
-        """Touch pages [lo, hi) in index order. Returns when the walk
-        finished (done_at) or must block on an unfinished write-back."""
+    def access_range(self, ctx, lo, hi, t, batch=False, write=False):
+        """Touch pages [lo, hi) in index order, starting at t. Returns the
+        tuple (done_at, wait, next_idx). A finished walk returns
+        (done_at, None, None): every touched page is resident or on its
+        way by done_at. A walk that reaches a victim still draining to flash
+        stops there and returns (t_now, handle, next_idx): the time it got
+        there, the write-back's handle to wait on, and the page to re-call
+        from once it lands."""
         if not ctx.alive:
             raise SimulationError(f"access to dead context {ctx.cid!r}")
         if self.access_log is not None:
@@ -103,7 +104,8 @@ class Policy:
                     cur = span
                 else:
                     # victim still draining to flash: block, then refault
-                    return AccessResult(t_now, wait=c.io.handle, next_idx=cur)
+                    self._on_walked(ctx, lo, cur, t, True)
+                    return t_now, c.io.handle, cur
             elif c.tier == FLASH:
                 run_end = span if batch else cur + 1
                 pieces = [self.model.extract(c, cur, run_end)]
@@ -130,7 +132,8 @@ class Policy:
                 cur = run_end
             else:
                 raise SimulationError(f"access to dead cohort {c!r}")
-        return AccessResult(t_now)
+        self._on_walked(ctx, lo, hi, t, False)
+        return t_now, None, None
 
     # -- diagnostics -------------------------------------------------------
 

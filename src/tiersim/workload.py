@@ -17,7 +17,7 @@ with zero think time. Hot draws are rank-weighted by a power-law skew.
 
 from bisect import bisect_left
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .core import SimulationError, rejection_limit
 
@@ -44,26 +44,28 @@ class NoiseCatalog:
 
 
 def walk_ranges(policy, ctx, ranges, t, batch, write, done):
-    """Touch each (lo, hi) of the list `ranges` in order via the policy,
-    then call done(t_end). A walk on a dead context does nothing.
+    """Touch each (lo, hi) of the list `ranges` in order via the policy's
+    access_range, then call done(t_end). A walk on a dead context does
+    nothing.
 
-    When an access must wait for a victim still draining to flash, the walk
-    stops there and hands the wait handle a resumption: a partial that
-    re-enters walk_ranges with the rest of the walk, starting at the page
-    the policy names. The resumption holds no reference to itself, so a
-    walk leaves no reference cycle for the cyclic collector, and a walk
-    that never waits copies no list and creates no closure.
+    access_range returns (done_at, wait, next_idx). When `wait` is a handle,
+    the access stopped at a victim still draining to flash: the walk stops
+    there and hands the handle a resumption, a partial that re-enters
+    walk_ranges with the rest of the walk, starting at next_idx. The
+    resumption holds no reference to itself, so a walk leaves no reference
+    cycle for the cyclic collector, and a walk that never waits copies no
+    list and creates no closure.
     """
     if not ctx.alive:
         return
+    access = policy.access_range
     for i, (lo, hi) in enumerate(ranges):
-        res = policy.access_range(ctx, lo, hi, t, batch=batch, write=write)
-        if res.wait is not None:
-            rest = [(res.next_idx, hi)] + ranges[i + 1:]
-            res.wait.wait(partial(walk_ranges, policy, ctx, rest,
-                                  batch=batch, write=write, done=done))
+        t, wait, next_idx = access(ctx, lo, hi, t, batch, write)
+        if wait is not None:
+            rest = [(next_idx, hi)] + ranges[i + 1:]
+            wait.wait(partial(walk_ranges, policy, ctx, rest,
+                              batch=batch, write=write, done=done))
             return
-        t = res.done_at
     done(t)
 
 
@@ -123,6 +125,35 @@ class NoiseSystem:
         self.sim.schedule(t + self.think_us, "noise-wake", self._step)
 
 
+def record_stream(outputs, cum_weight, hot, cold_base, cold_records,
+                  cold_record_pages, cold_frac):
+    """The critical service's records, (lo, hi) page ranges, drawn from the
+    generator output iterator `outputs`.
+
+    A record is cold when cold_records > 0 and x < cold_frac, x uniform in
+    [0, 1) as SplitMix64.random() makes it, (v >> 11) * 2.0 ** -53 of the
+    next output v; then a cold record is picked as randrange(cold_records)
+    picks it, skipping outputs at or above its rejection limit. Otherwise
+    the next x picks a hot record by rank weight: u = x * total weight with
+    x < 1 rounds to at most the total, the last cum_weight, so
+    bisect_left(cum_weight, u) indexes `hot`. Each record reads exactly the
+    outputs it needs, and the stream holds nothing but its arguments.
+    """
+    u64 = outputs.__next__
+    total_weight = cum_weight[-1]
+    cold_limit = rejection_limit(max(cold_records, 1))
+    while True:
+        if cold_records and (u64() >> 11) * 2.0 ** -53 < cold_frac:
+            v = u64()
+            while v >= cold_limit:
+                v = u64()
+            lo = cold_base + v % cold_records * cold_record_pages
+            yield (lo, lo + cold_record_pages)
+        else:
+            u = ((u64() >> 11) * 2.0 ** -53) * total_weight
+            yield hot[bisect_left(cum_weight, u)]
+
+
 class CriticalService:
     def __init__(self, sim, model, policy, collector, rng, threads=16,
                  base_service_us=5000, hot_records=64, hot_record_pages=32,
@@ -147,15 +178,11 @@ class CriticalService:
         self.cum_weight = list(accumulate(
             (r + 1) ** -skew for r in range(hot_records)))
         self.completed = 0
-        # draw_record reads rng's output stream directly: rng.random() is
-        # (v >> 11) * 2.0 ** -53 and rng.randrange(n) rejects v >= its limit
-        self._u64 = rng.outputs.__next__
-        # u = x * total weight with x < 1 rounds to at most the total, the
-        # last cum_weight, so bisect_left(cum_weight, u) < hot_records
-        self._total_weight = self.cum_weight[-1]
-        self._hot = [(lo, lo + hot_record_pages)
-                     for lo in range(0, self.hot_pages, hot_record_pages)]
-        self._cold_limit = rejection_limit(max(cold_records, 1))
+        self.records = record_stream(
+            rng.outputs, self.cum_weight,
+            [(lo, lo + hot_record_pages)
+             for lo in range(0, self.hot_pages, hot_record_pages)],
+            self.hot_pages, cold_records, cold_record_pages, cold_frac)
 
     def start(self):
         self.policy.on_allocate(self.ctx, 0, self.total_pages, 0)
@@ -163,24 +190,17 @@ class CriticalService:
             self._begin(0)
 
     def draw_record(self):
-        u64 = self._u64
-        if self.cold_records and (u64() >> 11) * 2.0 ** -53 < self.cold_frac:
-            v = u64()
-            while v >= self._cold_limit:
-                v = u64()
-            lo = self.hot_pages + v % self.cold_records * self.cold_record_pages
-            return (lo, lo + self.cold_record_pages)
-        u = ((u64() >> 11) * 2.0 ** -53) * self._total_weight
-        return self._hot[bisect_left(self.cum_weight, u)]
+        """The next record of the stream transactions draw from."""
+        return next(self.records)
 
     def _begin(self, t):
-        ranges = [self.draw_record() for _ in range(self.draws_per_txn)]
-        walk_ranges(self.policy, self.ctx, ranges, t, batch=False,
-                    write=False, done=lambda te, t0=t: self._compute(t0, te))
+        ranges = list(islice(self.records, self.draws_per_txn))
+        walk_ranges(self.policy, self.ctx, ranges, t, False, False,
+                    partial(self._compute, t))
 
     def _compute(self, t0, te):
         self.sim.schedule(te + self.base_service_us, "txn-done",
-                          lambda t, t0=t0: self._finish(t0, t))
+                          partial(self._finish, t0))
 
     def _finish(self, t0, t):
         self.completed += 1
@@ -242,9 +262,9 @@ class TraceDriver:
             self.sim.schedule(self.records[0][0], "trace", self._fire)
 
     def _touch(self, ctx, idx, write, t):
-        res = self.policy.access_range(ctx, idx, idx + 1, t, write=write)
-        if res.wait is not None:
-            res.wait.wait(lambda tt: ctx.alive and self._touch(ctx, idx, write, tt))
+        wait = self.policy.access_range(ctx, idx, idx + 1, t, write=write)[1]
+        if wait is not None:
+            wait.wait(lambda tt: ctx.alive and self._touch(ctx, idx, write, tt))
 
     def _fire(self, t):
         _, cid, idx, rw = self.records[self.i]

@@ -5,7 +5,6 @@ from dataclasses import replace
 from tiersim.core import Simulator
 from tiersim.memory import MemoryModel
 from tiersim.media import Device, PROFILES
-from tiersim.policy import AccessResult
 
 
 def build(dram=256, flash=8192, profile="flash", **overrides):
@@ -61,4 +60,4 @@ class RecordingPolicy:
 
     def access_range(self, ctx, lo, hi, t, batch=False, write=False):
         self.touched.append((ctx.cid, lo, hi))
-        return AccessResult(t)
+        return t, None, None

@@ -196,12 +196,12 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
             continue
         lo = rng.randrange(pages)
         hi = min(pages, lo + 1 + rng.randrange(24))
-        res = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0,
-                               write=roll % 3 == 0)
-        if res.wait is not None:
+        _, wait, next_idx = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0,
+                                             write=roll % 3 == 0)
+        if wait is not None:
             sim.drain()
-            if ctx.alive and res.next_idx < hi:
-                pol.access_range(ctx, res.next_idx, hi,
+            if ctx.alive and next_idx < hi:
+                pol.access_range(ctx, next_idx, hi,
                                  max(t, sim.now) + 1, batch=True)
         if rounds % 4 == 0:
             sim.drain()

@@ -173,8 +173,8 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
         else:
             lo = rng.randrange(pages)
             hi = min(pages, lo + 1 + rng.randrange(10))
-            res = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0)
-            if res.wait is not None:
+            _, wait, _ = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0)
+            if wait is not None:
                 sim.drain()
     sim.drain()
     m.check_full()
@@ -327,10 +327,10 @@ def test_fault_during_inflight_prefetch_shares_the_read():
     sim, m, dev, pol = dmx_stack()
     ctx = _dormant_ctx(pol, m, hot_pages=8)
     pol._wake(ctx, 0)                      # 8-page read lands at 111
-    res = pol.access_range(ctx, 0, 1, 81)
-    assert res.done_at == 111              # 30us residual stall, no new IO
-    again = pol.access_range(ctx, 1, 2, 90)
-    assert again.done_at == 111
+    done_at, _, _ = pol.access_range(ctx, 0, 1, 81)
+    assert done_at == 111                  # 30us residual stall, no new IO
+    again, _, _ = pol.access_range(ctx, 1, 2, 90)
+    assert again == 111
     # the flying run is credited once, however many of its pages get touched
     assert pol.counters["prefetch_hits"] == 1
     assert pol.counters["demand_faults"] == 0
@@ -342,8 +342,8 @@ def test_fault_during_inflight_prefetch_shares_the_read():
 def test_first_touch_of_sleeper_pairs_demand_with_prefetch():
     sim, m, dev, pol = dmx_stack()
     ctx = _dormant_ctx(pol, m, hot_pages=64)
-    res = pol.access_range(ctx, 0, 1, 0)
-    assert res.done_at == 84               # only the touched page stalls
+    done_at, _, _ = pol.access_range(ctx, 0, 1, 0)
+    assert done_at == 84                   # only the touched page stalls
     assert ctx.state == ACTIVATING
     assert pol.counters["demand_faults"] == 1
     assert pol.counters["prefetch_issued"] == 63
@@ -419,8 +419,8 @@ def test_touching_a_buffered_victim_waits_for_the_write():
     pol._take_victims(8, 0)
     c = m.lookup(ctx, 3)
     assert c.tier == INFLIGHT and c.dir == TO_FLASH
-    res = pol.access_range(ctx, 3, 4, 5)
-    assert res.wait is not None and res.next_idx == 3
+    _, wait, next_idx = pol.access_range(ctx, 3, 4, 5)
+    assert wait is not None and next_idx == 3
     assert pol.counters["demand_evict_waits"] == 1
     sim.drain()
 
@@ -430,9 +430,9 @@ def test_emergency_reclaim_covers_fault_bursts():
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 64, 0)             # DRAM completely full
     m.create(ctx, 64, 80, tier=FLASH, dirty=False)
-    res = pol.access_range(ctx, 64, 80, 10, batch=True)
+    done_at, _, _ = pol.access_range(ctx, 64, 80, 10, batch=True)
     assert pol.counters["emergency_reclaims"] == 1
-    assert res.done_at > 10                    # a read happened
+    assert done_at > 10                    # a read happened
     sim.drain()
     assert ctx.pages[64].tier == DRAM
     m.check_full()
@@ -448,10 +448,10 @@ def test_emergency_reclaim_outlasts_a_prefetch_taking_the_freed_frames():
     m.create(ctx, 64, 68, tier=FLASH, dirty=False)
     # the victims' write-back dispatches the waiting prefetch, which takes
     # the four frames they freed; a second round frees four more
-    res = pol.access_range(ctx, 64, 68, 10, batch=True)
+    done_at, _, _ = pol.access_range(ctx, 64, 68, 10, batch=True)
     assert dev.queued_requests(PREFETCH) == 0
     assert pol.counters["emergency_reclaims"] == 1
-    assert res.done_at > 10
+    assert done_at > 10
     sim.drain()
     assert [ctx.pages[i].tier for i in (64, 67)] == [DRAM, DRAM]
     assert sleeper.resident == 4 and sleeper.state == ACTIVE
@@ -502,11 +502,11 @@ def test_mq_and_quota_laws_hold_under_mixed_traffic():
         t = max(t, sim.now) + 1000 + rng.randrange(5000)
         ctx = ctxs[rng.randrange(len(ctxs))]
         lo = rng.randrange(190)
-        res = pol.access_range(ctx, lo, lo + 1 + rng.randrange(8), t,
-                               batch=True)
-        if res.wait is not None:
+        _, wait, next_idx = pol.access_range(ctx, lo, lo + 1 + rng.randrange(8),
+                                             t, batch=True)
+        if wait is not None:
             sim.drain()
-            pol.access_range(ctx, res.next_idx, lo + 9, max(t, sim.now) + 1,
+            pol.access_range(ctx, next_idx, lo + 9, max(t, sim.now) + 1,
                              batch=True)
         if round_ % 25 == 24:
             pol.tick(max(t, sim.now))
@@ -615,9 +615,9 @@ def test_victim_index_matches_the_reference_order():
             c = m.lookup(ctx, lo)
             seen["interior_hits"] += (c.tier == DRAM and c.lo < lo
                                       and hi < c.hi)
-            res = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0,
-                                   write=roll % 3 == 0)
-            if res.wait is not None:
+            _, wait, _ = pol.access_range(ctx, lo, hi, t, batch=roll % 2 == 0,
+                                          write=roll % 3 == 0)
+            if wait is not None:
                 sim.drain()
         if step % 200 == 199:
             sim.drain()
@@ -647,7 +647,7 @@ def test_victim_index_stays_bounded_without_ticks():
             pol.on_allocate(ctx, step, step + 1, t)
         else:
             page = rng.randrange(64) if rng.randrange(4) else rng.randrange(512)
-            if pol.access_range(ctx, page, page + 1, t).wait is not None:
+            if pol.access_range(ctx, page, page + 1, t)[1] is not None:
                 sim.drain()
         index = pol._victim_index.get(ctx)
         if index is not None:

@@ -46,7 +46,7 @@ def test_large_read_splits_into_batches():
     assert dev.stats["demand_ios"] == 3
     assert dev.stats["pages_read"] == 130
     assert m.census() == {"dram": 130, "flash": 0, "inflight": 0, "total": 130}
-    assert dev.bytes_moved() == 130 * 4096
+    assert (dev.stats["pages_read"] + dev.stats["pages_written"]) * 4096 == 130 * 4096
     m.check_full()
 
 
@@ -60,6 +60,16 @@ def test_single_slot_serializes_demand():
     assert (h1.done_t, h2.done_t) == (84, 168)
     sim.drain()
     assert c1.tier == DRAM and c2.tier == DRAM
+
+
+@pytest.mark.parametrize("busy,slot", [
+    ([0] * 8, 0), ([5, 2, 2, 7], 1), ([3, 3, 1, 1], 2), ([9, 8, 7, 7], 2),
+    ([4], 0),
+])
+def test_least_busy_slot_takes_the_lowest_index_on_a_tie(busy, slot):
+    sim, m, dev = build(max_inflight=len(busy))
+    dev._busy[:] = busy
+    assert dev._least_busy_slot() == slot
 
 
 def test_not_before_delays_the_reservation():
@@ -186,5 +196,6 @@ def test_busy_time_respects_bandwidth():
     c = m.create(ctx, 0, 130, tier=FLASH)
     dev.submit_demand([c], 0)
     sim.drain()
-    floor_us = dev.bytes_moved() * 1_000_000 // dev.profile.bandwidth_bps
+    moved = (dev.stats["pages_read"] + dev.stats["pages_written"]) * 4096
+    floor_us = moved * 1_000_000 // dev.profile.bandwidth_bps
     assert dev.stats["busy_us"] >= floor_us

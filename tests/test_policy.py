@@ -4,6 +4,7 @@ import pytest
 
 from helpers import build
 from tiersim.dmx import DmxPolicy
+from tiersim.media import service_time_us
 from tiersim.memory import DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH
 from tiersim.swap import SwapPolicy
 from tiersim.workload import walk_ranges
@@ -26,6 +27,31 @@ def spy_on_hooks(pol):
             return fn(*args)
         setattr(pol, hook, spy)
     return calls
+
+
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_access_range_returns_done_at_or_a_wait_exit(policy_cls):
+    """A finished walk returns (done_at, None, None); a walk that reaches a
+    victim still draining to flash returns (t, the write's handle, the
+    page to resume at)."""
+    sim, m, dev = build(dram=64, flash=1024)
+    pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+    ctx = pol.register(m.new_context("a"))
+    pol.on_allocate(ctx, 0, 8, 0)
+    m.create(ctx, 8, 12, tier=FLASH, dirty=False)
+    read_4 = service_time_us(dev.profile, 4, False)
+    assert pol.access_range(ctx, 0, 8, 10) == (10, None, None)
+    assert pol.access_range(ctx, 8, 12, 20, batch=True) == (20 + read_4, None, None)
+    sim.drain()
+    draining = m.create(ctx, 12, 16, tier=DRAM)
+    write = dev.submit_demand([draining], 200, write=True)
+    assert pol.access_range(ctx, 0, 16, 200, batch=True) == (200, write, 12)
+    sim.drain()
+    t = write.done_t
+    assert pol.access_range(ctx, 12, 16, t, batch=True) == (t + read_4, None, None)
+    sim.drain()
+    m.check_full()
 
 
 @pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],

@@ -52,8 +52,8 @@ def test_clean_fault_costs_one_read():
     sim.drain()
     c = m.lookup(ctx, 0)
     assert c.tier == FLASH and not c.dirty
-    res = pol.access_range(ctx, 0, 1, 1000)
-    assert res.done_at == 1084              # free frame: just the 84us read
+    done_at, _, _ = pol.access_range(ctx, 0, 1, 1000)
+    assert done_at == 1084              # free frame: just the 84us read
     sim.drain()
     assert m.lookup(ctx, 0).tier == DRAM
     assert pol.counters["demand_faults"] == 1
@@ -66,9 +66,9 @@ def test_dirty_victim_chains_write_then_read():
     pol.on_allocate(ctx, 0, 1, 0)
     assert pol.on_allocate(ctx, 1, 2, 0) == 204   # page 0 written back
     sim.drain()
-    res = pol.access_range(ctx, 0, 1, 1000)
+    done_at, _, _ = pol.access_range(ctx, 0, 1, 1000)
     # victim write-back (204) then the read (84) serialized behind it
-    assert res.done_at == 1000 + 204 + 84
+    assert done_at == 1000 + 204 + 84
     sim.drain()
     assert m.lookup(ctx, 0).tier == DRAM
     assert m.lookup(ctx, 1).tier == FLASH
@@ -100,8 +100,8 @@ def test_unbatched_walk_faults_page_by_page():
     sim, m, dev, pol = swap_stack()
     ctx = pol.register(m.new_context("a"))
     m.create(ctx, 0, 3, tier=FLASH)
-    res = pol.access_range(ctx, 0, 3, 0, batch=False)
-    assert res.done_at == 3 * 84            # serialized: each read waits
+    done_at, _, _ = pol.access_range(ctx, 0, 3, 0, batch=False)
+    assert done_at == 3 * 84            # serialized: each read waits
     sim.drain()
     assert pol.counters["fault_clusters"] == 3
     assert dev.stats["demand_ios"] == 3
@@ -111,8 +111,8 @@ def test_batched_walk_folds_the_run_into_one_fault():
     sim, m, dev, pol = swap_stack()
     ctx = pol.register(m.new_context("a"))
     m.create(ctx, 0, 3, tier=FLASH)
-    res = pol.access_range(ctx, 0, 3, 0, batch=True)
-    assert res.done_at == 92                # one 3-page read
+    done_at, _, _ = pol.access_range(ctx, 0, 3, 0, batch=True)
+    assert done_at == 92                # one 3-page read
     sim.drain()
     assert pol.counters["fault_clusters"] == 1
     assert pol.counters["demand_faults"] == 3
@@ -123,8 +123,8 @@ def test_fault_overhead_is_charged_per_cluster():
     sim, m, dev, pol = swap_stack(overhead=6000)
     ctx = pol.register(m.new_context("a"))
     m.create(ctx, 0, 1, tier=FLASH)
-    res = pol.access_range(ctx, 0, 1, 0)
-    assert res.done_at == 6084
+    done_at, _, _ = pol.access_range(ctx, 0, 1, 0)
+    assert done_at == 6084
     sim.drain()
 
 
@@ -132,10 +132,10 @@ def test_concurrent_faulters_share_the_inflight_read():
     sim, m, dev, pol = swap_stack()
     ctx = pol.register(m.new_context("a"))
     m.create(ctx, 0, 1, tier=FLASH)
-    first = pol.access_range(ctx, 0, 1, 0)
-    second = pol.access_range(ctx, 0, 1, 10)
-    assert first.done_at == 84
-    assert second.done_at == 84             # rides the same read
+    first, _, _ = pol.access_range(ctx, 0, 1, 0)
+    second, _, _ = pol.access_range(ctx, 0, 1, 10)
+    assert first == 84
+    assert second == 84             # rides the same read
     sim.drain()
     assert pol.counters["demand_faults"] == 2
     assert dev.stats["demand_ios"] == 1
@@ -146,15 +146,15 @@ def test_touching_a_draining_victim_blocks_then_refaults():
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 1, 0)
     pol.on_allocate(ctx, 1, 2, 0)           # page 0 now draining to flash
-    res = pol.access_range(ctx, 0, 1, 0)
-    assert res.wait is not None and res.next_idx == 0
+    _, wait, next_idx = pol.access_range(ctx, 0, 1, 0)
+    assert wait is not None and next_idx == 0
     results = []
-    res.wait.wait(lambda t: results.append(
-        pol.access_range(ctx, res.next_idx, 1, t)))
+    wait.wait(lambda t: results.append(
+        pol.access_range(ctx, next_idx, 1, t)))
     sim.drain()
     # resumed at 204 when the write-back landed, then evict page 1 (write
     # finishes at 408) and read page 0 back behind it
-    assert results[0].done_at == 408 + 84
+    assert results[0][0] == 408 + 84
     assert pol.counters["demand_faults"] == 1
     assert pol.counters["evictions"] == 2
 

@@ -141,9 +141,9 @@ def test_walk_resumes_where_it_waited():
     calls = []
     access = pol.access_range
 
-    def logged(ctx, lo, hi, t, **kw):
-        res = access(ctx, lo, hi, t, **kw)
-        calls.append((lo, hi, t, res.next_idx))
+    def logged(ctx, lo, hi, t, *args):
+        res = access(ctx, lo, hi, t, *args)
+        calls.append((lo, hi, t, res[2]))
         return res
 
     pol.access_range = logged
@@ -296,6 +296,26 @@ def test_each_transaction_walks_draws_per_txn_records(draws):
                       for _ in walked]
 
 
+@pytest.mark.parametrize("draws,cold_records", [(1, 1500), (2, 1500),
+                                                (3, 1500), (2, 0)],
+                         ids=["1", "2", "3", "2-no-cold"])
+def test_transactions_and_draw_record_read_one_record_stream(draws, cold_records):
+    """Each transaction walks the next draws_per_txn records of the stream,
+    and draw_record() calls in between take the records that follow."""
+    rng, ref = SplitMix64(9), splitmix64_reference(9)
+    pol = RecordingPolicy()
+    svc = CriticalService(Simulator(), MemoryModel(16, 16), pol, None, rng,
+                          draws_per_txn=draws, cold_records=cold_records)
+    for k in range(300):
+        del pol.touched[:]
+        svc._begin(k)
+        assert pol.touched == [("critical",) + draw_record_reference(svc, ref)
+                               for _ in range(draws)]
+        for _ in range(k % 3):
+            assert svc.draw_record() == draw_record_reference(svc, ref)
+    assert rng.next_u64() == ref.next_u64()
+
+
 def test_noise_picks_match_the_reference():
     pol = RecordingPolicy()
     noise = NoiseSystem(Simulator(), MemoryModel(16, 16), pol, SplitMix64(4),
@@ -330,7 +350,7 @@ def test_one_fault_inside_a_transaction_adds_its_stall():
     pol.on_allocate(svc.ctx, 0, 1, 0)
     pol._reclaim(1, 0, rounded=False)
     sim.run(500)                            # write-back done, page 0 on flash
-    svc.draw_record = lambda: (0, 1)
+    svc.records = iter([(0, 1)])
     svc._begin(1000)
     sim.run(7000)
     assert svc.completed == 1
