@@ -4,6 +4,8 @@ Precedence is flags > file > defaults. The resolved configuration can be
 rendered back out; re-running from that echo reproduces the run.
 """
 
+import math
+
 
 class ConfigError(Exception):
     pass
@@ -14,7 +16,10 @@ def _int(s):
 
 
 def _float(s):
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
 
 
 def _str(s):
@@ -134,7 +139,8 @@ def validate(cfg):
     for key in ("mem.dram_pages", "mem.flash_pages", "critical.threads",
                 "noise.think_us", "critical.base_service_us",
                 "critical.hot_records", "critical.hot_record_pages",
-                "dmx.levels", "dmx.window_us", "dmx.lifetime_us"):
+                "critical.draws_per_txn", "dmx.levels", "dmx.window_us",
+                "dmx.lifetime_us"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     for key in ("noise.clients", "swap.fault_overhead_us", "swap.reclaim_batch",

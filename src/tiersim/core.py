@@ -139,18 +139,24 @@ class Simulator:
         return seq
 
     def run(self, until: int) -> int:
-        """Process events with time <= until; returns count processed."""
+        """Process events with time <= until; returns count processed.
+
+        The event log and post_event_hook are read once per call, so set
+        them before a run, not from inside one of its events."""
         processed = 0
         heap = self._heap
+        pop = heapq.heappop
+        log = self._event_log
+        hook = self.post_event_hook
         while heap and heap[0][0] <= until:
-            at, seq, kind, fn = heapq.heappop(heap)
+            at, seq, kind, fn = pop(heap)
             self.now = at
-            if self._event_log is not None:
-                self._event_log.append((at, seq, kind))
+            if log is not None:
+                log.append((at, seq, kind))
             fn(at)
             processed += 1
-            if self.post_event_hook is not None:
-                self.post_event_hook()
+            if hook is not None:
+                hook()
         if self.now < until:
             self.now = until
         return processed

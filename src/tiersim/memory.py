@@ -81,7 +81,7 @@ class PageList:
             self.head = c
         self.tail = c
         self.cohorts += 1
-        self.page_count += c.pages()
+        self.page_count += c.hi - c.lo
 
     def remove(self, c: Cohort):
         if c.owner is not self:
@@ -98,7 +98,7 @@ class PageList:
         c.next = None
         c.owner = None
         self.cohorts -= 1
-        self.page_count -= c.pages()
+        self.page_count -= c.hi - c.lo
 
     def insert_before(self, c: Cohort, ref: Cohort):
         if ref.owner is not self:
@@ -114,7 +114,7 @@ class PageList:
             self.head = c
         ref.prev = c
         self.cohorts += 1
-        self.page_count += c.pages()
+        self.page_count += c.hi - c.lo
 
     def insert_after(self, c: Cohort, ref: Cohort):
         if ref.next is None:
@@ -123,8 +123,23 @@ class PageList:
             self.insert_before(c, ref.next)
 
     def move_to_tail(self, c: Cohort):
-        self.remove(c)
-        self.append(c)
+        """remove(c) then append(c), relinked in one step (Linux's
+        list_move_tail); the counts do not change."""
+        if c.owner is not self:
+            raise SimulationError("cohort not owned by this list")
+        tail = self.tail
+        if c is tail:
+            return
+        prev, nxt = c.prev, c.next
+        nxt.prev = prev
+        if prev is not None:
+            prev.next = nxt
+        else:
+            self.head = nxt
+        c.prev = tail
+        c.next = None
+        tail.next = c
+        self.tail = c
 
     def __iter__(self):
         node = self.head

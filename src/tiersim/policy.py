@@ -77,7 +77,7 @@ class Policy:
             c = cohort_at(cur)
             if c is None:
                 raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
-            span = min(c.hi, hi)
+            span = c.hi if c.hi < hi else hi
             if c.tier == DRAM:
                 if c.lo == cur and c.hi <= hi:
                     piece = c                   # the hit takes the whole run

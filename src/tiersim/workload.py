@@ -15,7 +15,7 @@ pages, then finishes after a fixed compute time; threads are closed-loop
 with zero think time. Hot draws are rank-weighted by a power-law skew.
 """
 
-from bisect import bisect_left
+from bisect import bisect_right
 from functools import partial
 from itertools import accumulate, islice
 
@@ -118,11 +118,35 @@ class NoiseSystem:
             ready = self.policy.on_allocate(ctx, lo, hi, t)
             self._rest(ready)
         else:
-            walk_ranges(self.policy, ctx, [(lo, hi)], t,
-                        batch=True, write=False, done=self._rest)
+            walk_ranges(self.policy, ctx, [(lo, hi)], t, True, False,
+                        self._rest)
 
     def _rest(self, t):
         self.sim.schedule(t + self.think_us, "noise-wake", self._step)
+
+
+def _first_true(pred, near):
+    """The least m in [0, 2**53] with pred(m), for a pred that is false and
+    then true as m grows, and taken as true at 2**53. Searches outward from
+    m = near * 2**53, then bisects: a close guess costs a few calls, and
+    any guess, nan too, gives the same m."""
+    top = 1 << 53
+    guess = near * 2.0 ** 53
+    lo = hi = int(guess) if 0 <= guess < top else top
+    step = 1
+    while hi < top and not pred(hi):
+        lo, hi = hi + 1, min(hi + step, top)
+        step *= 2
+    while lo > 0 and pred(lo - 1):
+        lo, hi = max(lo - step, 0), lo - 1
+        step *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def record_stream(outputs, cum_weight, hot, cold_base, cold_records,
@@ -134,24 +158,43 @@ def record_stream(outputs, cum_weight, hot, cold_base, cold_records,
     [0, 1) as SplitMix64.random() makes it, (v >> 11) * 2.0 ** -53 of the
     next output v; then a cold record is picked as randrange(cold_records)
     picks it, skipping outputs at or above its rejection limit. Otherwise
-    the next x picks a hot record by rank weight: u = x * total weight with
-    x < 1 rounds to at most the total, the last cum_weight, so
-    bisect_left(cum_weight, u) indexes `hot`. Each record reads exactly the
-    outputs it needs, and the stream holds nothing but its arguments.
+    the next x picks a hot record by rank weight: hot[bisect_left(
+    cum_weight, x * total weight)]. Each record reads exactly the outputs
+    it needs, and the stream holds nothing but its arguments and its cut
+    points.
+
+    The stream compares each raw output v with integer cut points, found
+    once, instead of making x. With m = v >> 11, x = m * 2**-53 is exact
+    and increasing in m, and so is x * total weight once rounded: rounding
+    is monotone and the total is positive. So each float test is false
+    below some least m and true from it on (or never true, m = 2**53):
+    "not x < cold_frac" from the cold cut's m, "cum_weight[j] < x * total"
+    from hot cut j's. A cut is that m shifted left by 11, the least v with
+    that m. Then x < cold_frac is exactly v < cold_cut, and bisect_left,
+    which counts the cum_weight[j] below x * total, is exactly the count
+    of hot cuts at or below v, bisect_right(hot_cuts, v). _first_true
+    finds each m by evaluating the float test itself, so the two forms
+    agree on every output, not only up to rounding. The last hot cut is
+    2**64, above every output, as x * total never exceeds the total.
     """
     u64 = outputs.__next__
     total_weight = cum_weight[-1]
     cold_limit = rejection_limit(max(cold_records, 1))
+    unit = 2.0 ** -53
+    cold_cut = _first_true(lambda m: not m * unit < cold_frac,
+                           cold_frac) << 11
+    hot_cuts = [_first_true(lambda m: w < (m * unit) * total_weight,
+                            w / total_weight) << 11
+                for w in cum_weight]
     while True:
-        if cold_records and (u64() >> 11) * 2.0 ** -53 < cold_frac:
+        if cold_records and u64() < cold_cut:
             v = u64()
             while v >= cold_limit:
                 v = u64()
             lo = cold_base + v % cold_records * cold_record_pages
             yield (lo, lo + cold_record_pages)
         else:
-            u = ((u64() >> 11) * 2.0 ** -53) * total_weight
-            yield hot[bisect_left(cum_weight, u)]
+            yield hot[bisect_right(hot_cuts, u64())]
 
 
 class CriticalService:

@@ -42,6 +42,29 @@ def test_trace_needs_a_single_policy(tmp_path, capsys):
     assert "one policy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, cfg_text, key", [
+    (["--duration", "nan"], None, "duration_s"),
+    (["--warmup", "nan"], None, "warmup_s"),
+    (["--duration", "inf"], None, "duration_s"),
+    ([], "critical.draws_per_txn = -1\n", "critical.draws_per_txn"),
+    ([], "critical.draws_per_txn = 0\n", "critical.draws_per_txn"),
+    ([], "critical.skew = nan\n", "critical.skew"),
+], ids=["duration-nan", "warmup-nan", "duration-inf", "draws-negative",
+        "draws-zero", "skew-nan"])
+def test_bad_numbers_exit_one_with_a_message(tmp_path, capsys, flags,
+                                             cfg_text, key):
+    argv = ["--containers", "1", "--out", str(tmp_path / "out")] + flags
+    if cfg_text is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(cfg_text)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and err.startswith("tiersim: ")
+    assert key in err and "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_plan_covers_the_sweep():
     cfg = resolve()
     plan = sweep_plan(cfg)

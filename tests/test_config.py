@@ -91,6 +91,23 @@ def test_validation_guards():
         resolve(None, {"critical.cold_frac": "1.5"})
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+@pytest.mark.parametrize("key", ["duration_s", "warmup_s", "critical.skew",
+                                 "critical.cold_frac", "dmx.alpha"])
+def test_non_finite_floats_are_bad_values(key, raw):
+    with pytest.raises(ConfigError) as err:
+        resolve(None, {key: raw})
+    assert str(err.value).startswith(f"bad value for {key}: {raw!r}")
+    assert "must be finite" in str(err.value)
+
+
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_draws_per_txn_must_be_positive(raw):
+    with pytest.raises(ConfigError) as err:
+        resolve({"critical.draws_per_txn": raw})
+    assert str(err.value) == "critical.draws_per_txn must be positive"
+
+
 def test_render_echo_reproduces_the_config(tmp_path):
     cfg = resolve(None, {"policy": "both", "containers": "1:7:3",
                          "dmx.alpha": "0.25"})

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tiersim.core import SimulationError
@@ -194,6 +196,55 @@ def test_pagelist_basics():
     other = PageList()
     with pytest.raises(SimulationError):
         other.remove(a)
+
+
+def twin_lists(rng, n):
+    """Two PageLists holding equal cohorts in the same order."""
+    ctx = MemoryModel(10_000, 10_000).new_context("a")
+    sizes = [rng.randint(1, 9) for _ in range(n)]
+    twins = []
+    for _ in range(2):
+        lst, cohorts, lo = PageList(), [], 0
+        for size in sizes:
+            c = Cohort(ctx, lo, lo + size, DRAM, False)
+            lst.append(c)
+            cohorts.append(c)
+            lo += size
+        twins.append((lst, cohorts))
+    return twins
+
+
+def links(lst, cohorts):
+    """Every link of the list, with cohorts named by their index."""
+    name = lambda c: None if c is None else cohorts.index(c)
+    return (name(lst.head), name(lst.tail), lst.cohorts, lst.page_count,
+            [(name(c.prev), name(c.next), c.owner is lst) for c in cohorts])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_move_to_tail_matches_remove_then_append(seed):
+    rng = random.Random(seed)
+    n = 1 if seed == 0 else rng.randint(2, 12)
+    (lst, cohorts), (ref, ref_cohorts) = twin_lists(rng, n)
+    # the head, an interior cohort, the tail (the only cohort when n == 1),
+    # then random picks
+    order = [lst.head, lst.tail]
+    if n > 2:
+        order.insert(1, cohorts[rng.randrange(1, n - 1)])
+    for c in order + [rng.choice(cohorts) for _ in range(30)]:
+        i = cohorts.index(c)
+        lst.move_to_tail(c)
+        ref.remove(ref_cohorts[i])
+        ref.append(ref_cohorts[i])
+        assert links(lst, cohorts) == links(ref, ref_cohorts)
+    assert [c.lo for c in lst] == [c.lo for c in ref]
+    # a cohort of another list, or of none, does not move and moves nothing
+    before = links(lst, cohorts)
+    ref.remove(ref_cohorts[0])
+    for stranger in ref_cohorts:
+        with pytest.raises(SimulationError):
+            lst.move_to_tail(stranger)
+    assert links(lst, cohorts) == before
 
 
 def test_full_audit_catches_counter_drift():

@@ -280,6 +280,64 @@ def test_draws_match_the_reference_formulas(params):
     assert rng.next_u64() == ref.next_u64()
 
 
+def least_m(test):
+    """The least m in [0, 2**53] for which test(m) holds, taken to hold at
+    2**53, by plain bisection: a cut point of the float draw."""
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("cold_frac", [0.0, 1e-300, 0.5, 1.0])
+@pytest.mark.parametrize("hot_records", [1, 1000])
+@pytest.mark.parametrize("skew", [0.0, 2.5, 40.0])
+def test_draws_match_the_reference_at_every_cut_point(skew, hot_records,
+                                                      cold_frac):
+    # the outputs where the reference's float tests change their answer:
+    # x = (v >> 11) * 2**-53 stops being below cold_frac, and x * total
+    # weight first exceeds cum_weight[j]
+    probe = CriticalService(Simulator(), MemoryModel(16, 16), RecordingPolicy(),
+                            None, replayed([]), skew=skew,
+                            hot_records=hot_records, cold_frac=cold_frac)
+    total = probe.cum_weight[-1]
+    cold_cut = least_m(lambda m: not m * 2.0 ** -53 < cold_frac) << 11
+    hot_cuts = [least_m(lambda m: w < (m * 2.0 ** -53) * total) << 11
+                for w in probe.cum_weight]
+    assert hot_cuts[-1] == TOP
+    outputs = []
+    for v in (cold_cut - 1, cold_cut):
+        if 0 <= v < TOP:
+            outputs += [v, 5]          # the cold test, then a pick
+    for cut in sorted(set(hot_cuts)):
+        for v in (cut - 1, cut):
+            if v < TOP:
+                outputs += [TOP - 1, v]    # not cold unless cold_frac is 1
+    draws = len(outputs) // 2
+    outputs += [0] * 8                 # for the pick a rejected output redraws
+    svc = CriticalService(Simulator(), MemoryModel(16, 16), RecordingPolicy(),
+                          None, replayed(outputs), skew=skew,
+                          hot_records=hot_records, cold_frac=cold_frac)
+    ref = ReplayedStream(outputs)
+    got = [svc.draw_record() for _ in range(draws)]
+    want = [draw_record_reference(svc, ref) for _ in range(draws)]
+    assert got == want
+    if cold_frac < 1.0:
+        # each hot cut below 2**64 is where the reference's pick moves up
+        for cut in set(hot_cuts) - {TOP}:
+            lo = ReplayedStream([TOP - 1, cut - 1, TOP - 1, cut])
+            assert draw_record_reference(svc, lo) < draw_record_reference(svc, lo)
+    if 0 < cold_cut < TOP:
+        # and the cold cut is where the reference stops drawing cold
+        cold = ReplayedStream([cold_cut - 1, 5, cold_cut, TOP - 1])
+        assert draw_record_reference(svc, cold)[0] >= svc.hot_pages
+        assert draw_record_reference(svc, cold)[0] < svc.hot_pages
+
+
 @pytest.mark.parametrize("draws", [1, 3])
 def test_each_transaction_walks_draws_per_txn_records(draws):
     sim = Simulator()
