@@ -149,12 +149,30 @@ def validate(cfg):
                 "dmx.fault_overhead_us"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be non-negative")
+    if not _hot_weights_finite(cfg["critical.hot_records"], cfg["critical.skew"]):
+        raise ConfigError(
+            f"critical.skew={cfg['critical.skew']!r} makes the hot-record "
+            "weights or their total overflow")
     if not (0.0 <= cfg["critical.cold_frac"] <= 1.0):
         raise ConfigError("critical.cold_frac must be in [0, 1]")
     if not (0.0 < cfg["dmx.alpha"] <= 1.0):
         raise ConfigError("dmx.alpha must be in (0, 1]")
     if not (0.0 <= cfg["dmx.reserve_frac"] < 1.0):
         raise ConfigError("dmx.reserve_frac must be in [0, 1)")
+
+
+def _hot_weights_finite(hot_records, skew):
+    """Whether the critical service's hot-record weights (r + 1) ** -skew,
+    r < hot_records, and their running total are finite floats. The total
+    is summed in the service's order; the weights are positive, so every
+    partial total is finite when the last one is."""
+    total = 0.0
+    try:
+        for r in range(hot_records):
+            total += (r + 1) ** -skew
+    except OverflowError:
+        return False
+    return math.isfinite(total)
 
 
 def render(cfg):

@@ -4,9 +4,9 @@ Events at the same timestamp fire in scheduling order (monotonic sequence
 number breaks ties), so a run is a pure function of config + seed.
 """
 
-import heapq
 import sys
 from array import array
+from heapq import heappop, heappush
 from itertools import chain, count
 
 US_PER_S = 1_000_000
@@ -134,8 +134,8 @@ class Simulator:
                 f"schedule into the past: at={at} now={self.now} kind={kind}"
             )
         seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (at, seq, kind, fn))
+        self._seq = seq + 1
+        heappush(self._heap, (at, seq, kind, fn))
         return seq
 
     def run(self, until: int) -> int:
@@ -145,7 +145,7 @@ class Simulator:
         them before a run, not from inside one of its events."""
         processed = 0
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         log = self._event_log
         hook = self.post_event_hook
         while heap and heap[0][0] <= until:

@@ -281,18 +281,22 @@ class DmxPolicy(Policy):
             c.prefetched = False
         expire = t + self.lifetime_us
         window = self.window_us
-        armed = not split and (c.level or c.freq != 1)
+        level = c.level
+        freq = c.freq
+        armed = not split and (level or freq != 1)
         stays = armed and -(-expire // window) == -(-c.expire // window)
         if armed and not stays:
             self._wheel_drop(c)
-        c.freq += 1
-        new_level = c.level
-        while new_level < self.levels - 1 and c.freq >= (1 << (new_level + 1)):
-            new_level += 1
-        if new_level != c.level:
+        freq += 1
+        c.freq = freq
+        top = self.levels - 1
+        if level < top and freq >= 2 << level:
+            level += 1
+            while level < top and freq >= 2 << level:
+                level += 1
             c.owner.remove(c)
-            c.level = new_level
-            ctx.levels[new_level].append(c)
+            c.level = level
+            ctx.levels[level].append(c)
         c.expire = expire
         if not stays:                           # else its bucket is unchanged
             self._wheel_add(c)
@@ -312,10 +316,11 @@ class DmxPolicy(Policy):
 
     def _on_walked(self, ctx, lo, end, t, waited):
         """The walked pages [lo, end) count toward the window (no tick runs
-        inside one walk). A dormant context wakes once a walk completes: by
-        then the touched pages are in flight as demand reads, so the
-        reactivation prefetch covers exactly the rest of the hot set. A
-        wait-exit leaves it dormant; the resumed walk finishes the job."""
+        inside one walk). A dormant context wakes once a range of a walk
+        completes, before the walk touches its next range: by then the
+        range's pages are in flight as demand reads, so the reactivation
+        prefetch covers exactly the rest of the hot set. A wait-exit leaves
+        it dormant; the resumed walk finishes the job."""
         if waited:              # stopped at a victim still draining
             self.counters["demand_evict_waits"] += 1
         elif ctx.state == DORMANT:

@@ -1,10 +1,13 @@
 """The page walk both tiering policies share, and the hooks they fill in.
 
-Policy.access_range walks pages [lo, hi) of one context in index order: a
-DRAM hit, a share of a read already in flight to DRAM, a wait on a victim
-still draining to flash, or a fault run on flash, extended across adjacent
-flash runs into one batched read when batch=True.
+Policy.walk takes a list of page ranges of one context and walks them all
+in one call, each range in index order: a DRAM hit, a share of a read
+already in flight to DRAM, a wait on a victim still draining to flash, or a
+fault run on flash, extended across adjacent flash runs into one batched
+read when batch=True. access_range is the same walk over one range.
 """
+
+from functools import partial
 
 from .core import SimulationError
 from .memory import DRAM, FLASH, INFLIGHT, TO_DRAM
@@ -23,8 +26,9 @@ class Policy:
     for what that cut left of c (which ran up to `end`), `_make_room(pages,
     t)` to free frames for a fault cluster, returning the earliest start of
     its read, `_on_landed(req, landed, t)` when a demand read lands, and
-    `_on_walked(ctx, lo, end, t, waited)` once per call when the walk of
-    pages [lo, end) stops, at a wait-exit (`waited`) or at its end."""
+    `_on_walked(ctx, lo, end, t, waited)` once per range when the walk of
+    its pages [lo, end), reached at t, stops, at a wait-exit (`waited`) or
+    at the range's end."""
 
     def __init__(self, sim, model, device, fault_overhead_us):
         self.sim = sim
@@ -59,7 +63,8 @@ class Policy:
         """No periodic work by default."""
 
     def access_range(self, ctx, lo, hi, t, batch=False, write=False):
-        """Touch pages [lo, hi) in index order, starting at t. Returns the
+        """Touch pages [lo, hi) in index order, starting at t: a walk of the
+        one range that returns instead of calling a `done`. Returns the
         tuple (done_at, wait, next_idx). A finished walk returns
         (done_at, None, None): every touched page is resident or on its
         way by done_at. A walk that reaches a victim still draining to flash
@@ -68,72 +73,101 @@ class Policy:
         from once it lands."""
         if not ctx.alive:
             raise SimulationError(f"access to dead context {ctx.cid!r}")
-        if self.access_log is not None:
-            self._log(t, ctx, lo, hi, "w" if write else "r")
+        return self.walk(ctx, [(lo, hi)], t, batch, write, None)
+
+    def walk(self, ctx, ranges, t, batch, write, done):
+        """Touch each (lo, hi) of the list `ranges` in order, starting at t,
+        then call done(t_end). A walk on a dead context does nothing.
+
+        Each range is logged when the walk reaches it, and ends with one
+        `_on_walked` call that carries the time the walk reached it. A walk
+        that reaches a victim still draining to flash stops there and hands
+        the write-back's handle a resumption: a partial that re-enters walk
+        with the rest of the walk, [(next_idx, hi)] and the ranges after.
+        The resumption holds no reference to itself, so a walk leaves no
+        reference cycle for the cyclic collector, and a walk that never
+        waits copies no list and creates no closure.
+
+        With done=None the walk hands nothing a resumption and calls
+        nothing: it returns access_range's tuple instead.
+        """
+        if not ctx.alive:
+            return
         cohort_at = ctx.pages.get
         t_now = t
-        cur = lo
-        while cur < hi:
-            c = cohort_at(cur)
-            if c is None:
-                raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
-            span = c.hi if c.hi < hi else hi
-            if c.tier == DRAM:
-                if c.lo == cur and c.hi <= hi:
-                    piece = c                   # the hit takes the whole run
-                else:
-                    end = c.hi
-                    piece = self.model.extract(c, cur, span)
-                    self._on_split(ctx, c, span, end)
-                if write:
-                    piece.dirty = True
-                self._on_hit(ctx, piece, t_now, piece is not c)
-                cur = span
-            elif c.tier == INFLIGHT:
-                if c.dir == TO_DRAM:
-                    # a read already covers us; share its wait
-                    pages = span - cur
-                    if c.io.klass == PREFETCH:
-                        if c.prefetched is not HIT_IN_FLIGHT:
-                            self.counters["prefetch_hits"] += pages
-                            c.prefetched = HIT_IN_FLIGHT
+        for i, (lo, hi) in enumerate(ranges):
+            t0 = t_now
+            if self.access_log is not None:
+                self._log(t0, ctx, lo, hi, "w" if write else "r")
+            cur = lo
+            while cur < hi:
+                c = cohort_at(cur)
+                if c is None:
+                    raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
+                span = c.hi if c.hi < hi else hi
+                if c.tier == DRAM:
+                    if c.lo == cur and c.hi <= hi:
+                        piece = c                   # the hit takes the whole run
                     else:
-                        self.counters["demand_faults"] += pages
-                        self.counters["fault_clusters"] += 1
-                    t_now = max(t_now, c.io.done_t)
+                        end = c.hi
+                        piece = self.model.extract(c, cur, span)
+                        self._on_split(ctx, c, span, end)
+                    if write:
+                        piece.dirty = True
+                    self._on_hit(ctx, piece, t_now, piece is not c)
                     cur = span
+                elif c.tier == INFLIGHT:
+                    if c.dir == TO_DRAM:
+                        # a read already covers us; share its wait
+                        pages = span - cur
+                        if c.io.klass == PREFETCH:
+                            if c.prefetched is not HIT_IN_FLIGHT:
+                                self.counters["prefetch_hits"] += pages
+                                c.prefetched = HIT_IN_FLIGHT
+                        else:
+                            self.counters["demand_faults"] += pages
+                            self.counters["fault_clusters"] += 1
+                        t_now = max(t_now, c.io.done_t)
+                        cur = span
+                    else:
+                        # victim still draining to flash: block, then refault
+                        self._on_walked(ctx, lo, cur, t0, True)
+                        if done is None:
+                            return t_now, c.io.handle, cur
+                        c.io.handle.wait(partial(
+                            self.walk, ctx, [(cur, hi)] + ranges[i + 1:],
+                            batch=batch, write=write, done=done))
+                        return
+                elif c.tier == FLASH:
+                    run_end = span if batch else cur + 1
+                    pieces = [self.model.extract(c, cur, run_end)]
+                    if batch:
+                        # extend across adjacent missing cohorts
+                        while run_end < hi:
+                            nxt = cohort_at(run_end)
+                            if nxt is None or nxt.tier != FLASH:
+                                break
+                            stop = min(nxt.hi, hi)
+                            pieces.append(self.model.extract(nxt, run_end, stop))
+                            run_end = stop
+                    pages = run_end - cur
+                    t_now += self.fault_overhead_us
+                    ready = self._make_room(pages, t_now)
+                    if write:
+                        for p in pieces:
+                            p.dirty = True
+                    read = self.device.submit_demand(pieces, t_now, not_before=ready,
+                                                     cb=self._on_landed)
+                    self.counters["demand_faults"] += pages
+                    self.counters["fault_clusters"] += 1
+                    t_now = read.done_t
+                    cur = run_end
                 else:
-                    # victim still draining to flash: block, then refault
-                    self._on_walked(ctx, lo, cur, t, True)
-                    return t_now, c.io.handle, cur
-            elif c.tier == FLASH:
-                run_end = span if batch else cur + 1
-                pieces = [self.model.extract(c, cur, run_end)]
-                if batch:
-                    # extend across adjacent missing cohorts
-                    while run_end < hi:
-                        nxt = cohort_at(run_end)
-                        if nxt is None or nxt.tier != FLASH:
-                            break
-                        stop = min(nxt.hi, hi)
-                        pieces.append(self.model.extract(nxt, run_end, stop))
-                        run_end = stop
-                pages = run_end - cur
-                t_now += self.fault_overhead_us
-                ready = self._make_room(pages, t_now)
-                if write:
-                    for p in pieces:
-                        p.dirty = True
-                read = self.device.submit_demand(pieces, t_now, not_before=ready,
-                                                 cb=self._on_landed)
-                self.counters["demand_faults"] += pages
-                self.counters["fault_clusters"] += 1
-                t_now = read.done_t
-                cur = run_end
-            else:
-                raise SimulationError(f"access to dead cohort {c!r}")
-        self._on_walked(ctx, lo, hi, t, False)
-        return t_now, None, None
+                    raise SimulationError(f"access to dead cohort {c!r}")
+            self._on_walked(ctx, lo, hi, t0, False)
+        if done is None:
+            return t_now, None, None
+        done(t_now)
 
     # -- diagnostics -------------------------------------------------------
 

@@ -11,12 +11,14 @@ total noise load constant while the container count sweeps.
 The critical service owns one context with two record classes: a small set
 of hot multi-page records (almost every draw) and a long tail of cold
 records (rare draws). Each transaction draws a few records, walks their
-pages, then finishes after a fixed compute time; threads are closed-loop
-with zero think time. Hot draws are rank-weighted by a power-law skew.
+pages in one walk, then finishes after a fixed compute time; threads are
+closed-loop with zero think time. Hot draws are rank-weighted by a
+power-law skew. Each thread is a small object whose bound methods, made
+once, are its events: the walk's done and the txn-done event. A
+transaction builds nothing but its list of records.
 """
 
 from bisect import bisect_right
-from functools import partial
 from itertools import accumulate, islice
 
 from .core import SimulationError, rejection_limit
@@ -44,35 +46,19 @@ class NoiseCatalog:
 
 
 def walk_ranges(policy, ctx, ranges, t, batch, write, done):
-    """Touch each (lo, hi) of the list `ranges` in order via the policy's
-    access_range, then call done(t_end). A walk on a dead context does
-    nothing.
-
-    access_range returns (done_at, wait, next_idx). When `wait` is a handle,
-    the access stopped at a victim still draining to flash: the walk stops
-    there and hands the handle a resumption, a partial that re-enters
-    walk_ranges with the rest of the walk, starting at next_idx. The
-    resumption holds no reference to itself, so a walk leaves no reference
-    cycle for the cyclic collector, and a walk that never waits copies no
-    list and creates no closure.
-    """
-    if not ctx.alive:
-        return
-    access = policy.access_range
-    for i, (lo, hi) in enumerate(ranges):
-        t, wait, next_idx = access(ctx, lo, hi, t, batch, write)
-        if wait is not None:
-            rest = [(next_idx, hi)] + ranges[i + 1:]
-            wait.wait(partial(walk_ranges, policy, ctx, rest,
-                              batch=batch, write=write, done=done))
-            return
-    done(t)
+    """Walk each (lo, hi) of the list `ranges` in order through the policy
+    in one call (Policy.walk), then call done(t_end). A walk on a dead
+    context does nothing. The critical service and the noise clients walk
+    through this module global, so one name covers each walk they start;
+    the trace replay, one page per access, calls Policy.walk directly."""
+    policy.walk(ctx, ranges, t, batch, write, done)
 
 
 class NoiseSystem:
     def __init__(self, sim, model, policy, rng, containers, clients,
                  think_us=150_000, scale=1024):
         self.sim = sim
+        self._schedule = sim.schedule
         self.policy = policy
         self.clients = clients
         self.think_us = think_us
@@ -122,7 +108,7 @@ class NoiseSystem:
                         self._rest)
 
     def _rest(self, t):
-        self.sim.schedule(t + self.think_us, "noise-wake", self._step)
+        self._schedule(t + self.think_us, "noise-wake", self._step)
 
 
 def _first_true(pred, near):
@@ -230,25 +216,43 @@ class CriticalService:
     def start(self):
         self.policy.on_allocate(self.ctx, 0, self.total_pages, 0)
         for _ in range(self.threads):
-            self._begin(0)
+            TxnThread(self).begin(0)
 
     def draw_record(self):
         """The next record of the stream transactions draw from."""
         return next(self.records)
 
-    def _begin(self, t):
-        ranges = list(islice(self.records, self.draws_per_txn))
-        walk_ranges(self.policy, self.ctx, ranges, t, False, False,
-                    partial(self._compute, t))
 
-    def _compute(self, t0, te):
-        self.sim.schedule(te + self.base_service_us, "txn-done",
-                          partial(self._finish, t0))
+class TxnThread:
+    """One closed-loop thread of a CriticalService. Its two bound methods
+    are made once: `done`, the walk's done, schedules the transaction's
+    end after the compute time; `event`, that txn-done event, records the
+    latency from t0, the transaction's start, and begins the next one."""
 
-    def _finish(self, t0, t):
-        self.completed += 1
-        self.collector.record(t - t0, t)
-        self._begin(t)
+    __slots__ = ("svc", "t0", "done", "event")
+
+    def __init__(self, svc):
+        self.svc = svc
+        self.t0 = 0
+        self.done = self.compute
+        self.event = self.finish
+
+    def begin(self, t):
+        svc = self.svc
+        self.t0 = t
+        walk_ranges(svc.policy, svc.ctx,
+                    list(islice(svc.records, svc.draws_per_txn)), t, False,
+                    False, self.done)
+
+    def compute(self, te):
+        svc = self.svc
+        svc.sim.schedule(te + svc.base_service_us, "txn-done", self.event)
+
+    def finish(self, t):
+        svc = self.svc
+        svc.completed += 1
+        svc.collector.record(t - self.t0, t)
+        self.begin(t)
 
 
 class TraceError(SimulationError):
@@ -304,11 +308,6 @@ class TraceDriver:
         if self.records:
             self.sim.schedule(self.records[0][0], "trace", self._fire)
 
-    def _touch(self, ctx, idx, write, t):
-        wait = self.policy.access_range(ctx, idx, idx + 1, t, write=write)[1]
-        if wait is not None:
-            wait.wait(lambda tt: ctx.alive and self._touch(ctx, idx, write, tt))
-
     def _fire(self, t):
         _, cid, idx, rw = self.records[self.i]
         ctx = self.ctxs.get(cid)
@@ -320,7 +319,12 @@ class TraceDriver:
         if self.model.lookup(ctx, idx) is None:
             self.policy.on_allocate(ctx, idx, idx + 1, t)
         else:
-            self._touch(ctx, idx, rw == "w", t)
+            self.policy.walk(ctx, [(idx, idx + 1)], t, False, rw == "w",
+                             _ignore)
         self.i += 1
         if self.i < len(self.records):
             self.sim.schedule(self.records[self.i][0], "trace", self._fire)
+
+
+def _ignore(t):
+    """The done of a trace access: nothing waits for it."""

@@ -58,6 +58,7 @@ class RecordingPolicy:
         self.touched.append((ctx.cid, lo, hi))
         return t
 
-    def access_range(self, ctx, lo, hi, t, batch=False, write=False):
-        self.touched.append((ctx.cid, lo, hi))
-        return t, None, None
+    def walk(self, ctx, ranges, t, batch, write, done):
+        for lo, hi in ranges:
+            self.touched.append((ctx.cid, lo, hi))
+        done(t)

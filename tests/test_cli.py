@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -49,8 +50,10 @@ def test_trace_needs_a_single_policy(tmp_path, capsys):
     ([], "critical.draws_per_txn = -1\n", "critical.draws_per_txn"),
     ([], "critical.draws_per_txn = 0\n", "critical.draws_per_txn"),
     ([], "critical.skew = nan\n", "critical.skew"),
+    ([], "critical.skew = -171\n", "critical.skew"),
+    ([], "critical.skew = -400\n", "critical.skew"),
 ], ids=["duration-nan", "warmup-nan", "duration-inf", "draws-negative",
-        "draws-zero", "skew-nan"])
+        "draws-zero", "skew-nan", "skew-171", "skew-400"])
 def test_bad_numbers_exit_one_with_a_message(tmp_path, capsys, flags,
                                              cfg_text, key):
     argv = ["--containers", "1", "--out", str(tmp_path / "out")] + flags
@@ -63,6 +66,19 @@ def test_bad_numbers_exit_one_with_a_message(tmp_path, capsys, flags,
     assert err.count("\n") == 1 and err.startswith("tiersim: ")
     assert key in err and "Traceback" not in out + err
     assert not (tmp_path / "out").exists()
+
+
+def test_largest_negative_skew_that_fits_still_runs(tmp_path, capsys):
+    """critical.skew = -170 is inside the float range and writes the same
+    bytes as before the skew check existed."""
+    cfg = tmp_path / "skew.cfg"
+    cfg.write_text("critical.skew = -170\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--containers", "1", "--duration", "2",
+                 "--warmup", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == ("c88f250cf4658781164b1b81e58873f9"
+                      "3e6cb3decb7713b0f47aeba8d122c5b3")
 
 
 def test_default_plan_covers_the_sweep():

@@ -101,6 +101,21 @@ def test_non_finite_floats_are_bad_values(key, raw):
     assert "must be finite" in str(err.value)
 
 
+@pytest.mark.parametrize("raw", ["-171", "-400"])
+def test_skew_whose_weights_overflow_is_rejected(raw):
+    """The largest hot-record weight, 64 ** -skew, is past the float range."""
+    with pytest.raises(ConfigError) as err:
+        resolve(None, {"critical.skew": raw})
+    assert str(err.value).startswith(f"critical.skew={float(raw)!r} makes")
+
+
+def test_skew_whose_weights_fit_is_accepted():
+    assert resolve(None, {"critical.skew": "-170"})["critical.skew"] == -170.0
+    # 100,000 finite weights, the largest about 3e307, whose total overflows
+    with pytest.raises(ConfigError, match="critical.skew"):
+        resolve(None, {"critical.skew": "-61.5", "critical.hot_records": "100000"})
+
+
 @pytest.mark.parametrize("raw", ["0", "-1"])
 def test_draws_per_txn_must_be_positive(raw):
     with pytest.raises(ConfigError) as err:

@@ -8,6 +8,7 @@ from tiersim.memory import (
 )
 from tiersim.media import EVICT, PREFETCH
 from tiersim.dmx import INDEX_SLACK, DmxPolicy
+from tiersim.workload import walk_ranges
 
 
 def dmx_stack(dram=2048, flash=16384, **kw):
@@ -350,6 +351,40 @@ def test_first_touch_of_sleeper_pairs_demand_with_prefetch():
     sim.drain()
     assert dev.stats["demand_ios"] == 1 and dev.stats["prefetch_ios"] == 1
     assert dev.stats["pages_read"] == 64
+    assert ctx.state == ACTIVE and ctx.resident == 64
+    m.check_full()
+
+
+def test_sleeper_wakes_after_the_first_range_of_a_walk():
+    """A dormant context wakes once the walk's first range is done, and
+    plans its reactivation before the second range is touched: that range
+    then shares the prefetch read instead of faulting on its own."""
+    sim, m, dev, pol = dmx_stack()
+    ctx = _dormant_ctx(pol, m, hot_pages=64)
+    woke = []
+    wake = pol._wake
+
+    def spy(ctx, t):
+        woke.append((t, ctx.pages[0].tier, ctx.pages[1].tier))
+        wake(ctx, t)
+
+    pol._wake = spy
+    before = ctx.window_count
+    ends = []
+    walk_ranges(pol, ctx, [(0, 1), (1, 2)], 0, batch=False, write=False,
+                done=ends.append)
+    # woken at the walk's start time, with page 0's read in flight and
+    # page 1 not yet touched
+    assert woke == [(0, INFLIGHT, FLASH)]
+    assert ctx.state == ACTIVATING
+    assert pol.counters["demand_faults"] == 1
+    assert pol.counters["prefetch_issued"] == 63
+    assert pol.counters["prefetch_hits"] == 1
+    assert ctx.window_count == before + 2
+    assert len(ends) == 1
+    sim.drain()
+    assert len(woke) == 1 and len(ends) == 1
+    assert dev.stats["demand_ios"] == 1 and dev.stats["prefetch_ios"] == 1
     assert ctx.state == ACTIVE and ctx.resident == 64
     m.check_full()
 

@@ -19,7 +19,10 @@ cover what it leaves out:
 - the workload draw streams: the first 100,000 records a default critical
   service draws, and 100,000 noise requests' (container, image) picks at
   25 containers, at seeds 1 and 42, so a change to how the generator
-  produces its outputs shows here before it reaches a sweep.
+  produces its outputs shows here before it reaches a sweep;
+- the kernel's event order: the `--dump-events` log and the access log of
+  one 8-second flash point at 25 containers, seed 11, per policy, so a
+  change that keeps the counts but moves an event or a page touch shows.
 A strict xfail runs the same walks with longer ranges, which abort today,
 so the fix of that defect shows as an unexpected pass.
 
@@ -45,7 +48,7 @@ from helpers import RecordingPolicy, build
 from tiersim.config import resolve
 from tiersim.core import SimulationError, SplitMix64
 from tiersim.dmx import DmxPolicy
-from tiersim.experiment import run_sweep, run_trace
+from tiersim.experiment import run_point, run_sweep, run_trace
 from tiersim.memory import MemoryModel
 from tiersim.swap import SwapPolicy
 from tiersim.workload import CriticalService, NoiseSystem, walk_ranges
@@ -67,6 +70,12 @@ DRAWS_SHA256 = {
     ("noise", 1): "a7c6ba7c71b49aa10462fec66e42004f838aab40d76d94f6b53dfd8cb20534e1",
     ("noise", 42): "2b0a33552801cb6bb2212a8b875c856aa368ff79297fab0a44f712e63d3d3a66",
 }
+EVENTS_SHA256 = {
+    "swap": ("657571252287c77ef1c06b8191219d15ce401a6c8539a4757a94186bfb4beb9f",
+             "9f12c03e2e2967d7a4376ea0627cca6eb604d00e2a19d5ebc7a25b5561a5a196"),
+    "dmx": ("520acd32f19cc282f119cfd0cebaddd4f70b111808457b810e2362fb7ba0fb7a",
+            "36d2a50b38b96da63f1224fab96d58553a61b1bdf76b5089a220e22a8d84bdb5"),
+}
 # _step schedules the request's next wake; these pins run no simulation
 NO_SIM = SimpleNamespace(schedule=lambda at, kind, fn: None)
 
@@ -87,6 +96,16 @@ def test_short_disk_swap_sweep_writes_the_pinned_bytes(tmp_path):
     cfg = resolve(None, {"duration_s": "3", "warmup_s": "1"})
     run_sweep(cfg, str(tmp_path), 1)
     assert sha256_of(tmp_path / "sweep.csv") == DISK_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("policy", ["swap", "dmx"])
+def test_event_and_access_logs_are_pinned(tmp_path, policy):
+    """26,042 events for swap and 37,860 for dmx, with IO on both sides."""
+    cfg = resolve(None, {"device": "flash", "policy": policy,
+                         "duration_s": "8", "seed": "11"})
+    events, accesses = tmp_path / "events.log", tmp_path / "accesses.trace"
+    run_point(cfg, policy, "flash", 25, str(events), str(accesses))
+    assert (sha256_of(events), sha256_of(accesses)) == EVENTS_SHA256[policy]
 
 
 def write_rw_trace(path, seed=7, records=3000):

@@ -125,3 +125,71 @@ def test_dmx_window_counts_each_walked_page_once():
     assert ctx.window_count == before + 12
     assert all(ctx.pages[i].tier == DRAM for i in range(12))
     m.check_full()
+
+
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_a_wait_in_range_two_of_three_resumes_then_walks_range_three(policy_cls):
+    """The walk stops at the draining victim in its second range, hands the
+    write-back a resumption that starts at that page, walks the third range
+    once the write lands, and calls done exactly once. Each range is logged
+    and reported to _on_walked with the time the walk reached it."""
+    sim, m, dev = build(dram=64, flash=1024)
+    pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+    ctx = pol.register(m.new_context("a"))
+    pol.on_allocate(ctx, 0, 8, 0)
+    m.create(ctx, 8, 12, tier=FLASH, dirty=False)
+    m.create(ctx, 16, 20, tier=FLASH, dirty=False)
+    draining = m.create(ctx, 12, 16, tier=DRAM)
+    write = dev.submit_demand([draining], 100, write=True)
+    read_4 = service_time_us(dev.profile, 4, False)
+    pol.access_log = []
+    walked = []
+    on_walked = pol._on_walked
+
+    def spy(ctx, lo, end, t, waited):
+        walked.append((lo, end, t, waited))
+        on_walked(ctx, lo, end, t, waited)
+
+    pol._on_walked = spy
+    ends = []
+    walk_ranges(pol, ctx, [(0, 8), (8, 16), (16, 20)], 100, batch=True,
+                write=False, done=ends.append)
+    assert ends == []
+    assert walked == [(0, 8, 100, False), (8, 12, 100, True)]
+    sim.drain()
+    tw = write.done_t
+    assert walked == [(0, 8, 100, False), (8, 12, 100, True),
+                      (12, 16, tw, False), (16, 20, tw + read_4, False)]
+    assert ends == [tw + 2 * read_4]
+    logged = [(t, idx) for t, _, idx, _ in pol.access_log]
+    assert logged == ([(100, i) for i in range(16)] +
+                      [(tw, i) for i in range(12, 16)] +
+                      [(tw + read_4, i) for i in range(16, 20)])
+    assert all(ctx.pages[i].tier == DRAM for i in range(20))
+    m.check_full()
+
+
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_access_range_is_the_walk_of_one_range(policy_cls):
+    """access_range and a one-range walk touch the same pages at the same
+    times and leave the same state."""
+    logs, ends = [], []
+    for one_range in (True, False):
+        sim, m, dev = build(dram=64, flash=1024)
+        pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+        pol.access_log = []
+        ctx = pol.register(m.new_context("a"))
+        pol.on_allocate(ctx, 0, 8, 0)
+        m.create(ctx, 8, 16, tier=FLASH, dirty=False)
+        for t, (lo, hi) in enumerate([(2, 6), (0, 12), (6, 16)], start=1):
+            if one_range:
+                ends.append(pol.access_range(ctx, lo, hi, t, batch=True)[0])
+            else:
+                pol.walk(ctx, [(lo, hi)], t, True, False, ends.append)
+        sim.drain()
+        logs.append((pol.access_log, pol.snapshot_counters(),
+                     sorted((c.lo, c.hi, c.tier) for c in set(ctx.pages.values()))))
+    assert logs[0] == logs[1]
+    assert ends[:3] == ends[3:]

@@ -13,7 +13,7 @@ from tiersim.metrics import Collector
 from tiersim.swap import SwapPolicy
 from tiersim.workload import (
     NoiseCatalog, NoiseSystem, CriticalService, TraceDriver, TraceError,
-    load_trace, walk_ranges,
+    TxnThread, load_trace, walk_ranges,
 )
 
 
@@ -139,14 +139,13 @@ def test_walk_resumes_where_it_waited():
     pol.access_range(ctx, 0, 2, 0)          # [2,4) is now the LRU end
     pol.on_allocate(ctx, 4, 6, 0)           # [2,4) drains to flash
     calls = []
-    access = pol.access_range
+    on_walked = pol._on_walked
 
-    def logged(ctx, lo, hi, t, *args):
-        res = access(ctx, lo, hi, t, *args)
-        calls.append((lo, hi, t, res[2]))
-        return res
+    def logged(ctx, lo, end, t, waited):
+        calls.append((lo, end, t, waited))
+        on_walked(ctx, lo, end, t, waited)
 
-    pol.access_range = logged
+    pol._on_walked = logged
     ends = []
     walk_ranges(pol, ctx, [(4, 6), (0, 4), (0, 1)], 0, batch=False,
                 write=False, done=ends.append)
@@ -155,8 +154,9 @@ def test_walk_resumes_where_it_waited():
     landed = calls[2][2]                    # the write-back of [2,4) landed
     refaulted = calls[3][2]                 # [2,4) read back in
     assert 0 < landed < refaulted
-    assert calls == [(4, 6, 0, None), (0, 4, 0, 2),
-                     (2, 4, landed, None), (0, 1, refaulted, None)]
+    # (0, 4) stops at page 2 to wait, and the walk resumes there
+    assert calls == [(4, 6, 0, False), (0, 2, 0, True),
+                     (2, 4, landed, False), (0, 1, refaulted, False)]
     assert ends == [refaulted]              # the last range only hits
     m.check_full()
 
@@ -364,9 +364,10 @@ def test_transactions_and_draw_record_read_one_record_stream(draws, cold_records
     pol = RecordingPolicy()
     svc = CriticalService(Simulator(), MemoryModel(16, 16), pol, None, rng,
                           draws_per_txn=draws, cold_records=cold_records)
+    thread = TxnThread(svc)
     for k in range(300):
         del pol.touched[:]
-        svc._begin(k)
+        thread.begin(k)
         assert pol.touched == [("critical",) + draw_record_reference(svc, ref)
                                for _ in range(draws)]
         for _ in range(k % 3):
@@ -409,7 +410,7 @@ def test_one_fault_inside_a_transaction_adds_its_stall():
     pol._reclaim(1, 0, rounded=False)
     sim.run(500)                            # write-back done, page 0 on flash
     svc.records = iter([(0, 1)])
-    svc._begin(1000)
+    TxnThread(svc).begin(1000)
     sim.run(7000)
     assert svc.completed == 1
     assert coll.samples == [5084]           # 5000 base + one 84us read
