@@ -50,6 +50,7 @@ and count walked pages toward the activity window.
 from bisect import bisect_left
 from collections import deque
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 
 from .core import SimulationError
 from .memory import (
@@ -65,6 +66,14 @@ from .policy import HIT_IN_FLIGHT, Policy
 # the slack.
 INDEX_ENTRIES_PER_RUN = 3
 INDEX_SLACK = 64
+
+_cohorts = attrgetter("cohorts")
+
+
+def _over_quota_order(ctx):
+    """The victim order of over-quota contexts: most over quota first, ties
+    by the context id as a string."""
+    return ctx.quota - ctx.resident, str(ctx.cid)
 
 
 class AgingLog:
@@ -236,7 +245,7 @@ class DmxPolicy(Policy):
         return ctx
 
     def on_teardown(self, ctx):
-        for c in dict.fromkeys(ctx.pages.values()):
+        for c in ctx.pages.values():
             if c.tier == DRAM and c.prefetched:
                 self.counters["mispredictions"] += c.pages()
         for plist in ctx.levels:
@@ -434,7 +443,7 @@ class DmxPolicy(Policy):
                 self._on_evicted(None, (piece,), t)     # out now, no write
         for entry in held:
             heappush(heap, entry)
-        listed = sum(plist.cohorts for plist in ctx.levels)
+        listed = sum(map(_cohorts, ctx.levels))
         if len(heap) + len(index.wheel) > INDEX_ENTRIES_PER_RUN * listed + INDEX_SLACK:
             del self._victim_index[ctx]
         return taken
@@ -446,14 +455,21 @@ class DmxPolicy(Policy):
         to the largest residents."""
         dirty = []
         got = 0
-        overs = sorted(
-            (ctx for ctx in self.contexts if ctx.resident > ctx.quota),
-            key=lambda ctx: (ctx.quota - ctx.resident, str(ctx.cid)))
-        for ctx in overs:
-            if got >= need:
-                break
-            allow = min(need - got, ctx.resident - ctx.quota)
-            got += self._victims_from(ctx, allow, t, dirty)
+        overs = [ctx for ctx in self.contexts if ctx.resident > ctx.quota]
+        if overs:
+            # the most over quota first; the rest are sorted only if it
+            # falls short (taking from it moves no other context's key)
+            first = min(overs, key=_over_quota_order)
+            got = self._victims_from(
+                first, min(need, first.resident - first.quota), t, dirty)
+            if got < need and len(overs) > 1:
+                overs.remove(first)
+                overs.sort(key=_over_quota_order)
+                for ctx in overs:
+                    if got >= need:
+                        break
+                    allow = min(need - got, ctx.resident - ctx.quota)
+                    got += self._victims_from(ctx, allow, t, dirty)
         if got < need:
             for ctx in sorted(self.contexts,
                               key=lambda ctx: (-ctx.resident, str(ctx.cid))):

@@ -153,7 +153,9 @@ class Device:
         pages = sum(c.pages() for c in cohorts)
         if pages == 0:
             return Handle(0, 0, done_t=t)
-        chunks = _chunk(cohorts, self.profile.batch_pages, self.model.extract)
+        batch = self.profile.batch_pages
+        chunks = ([(cohorts, pages)] if pages <= batch
+                  else _chunk(cohorts, batch, self.model.extract))
         handle = Handle(pages, len(chunks))
         last_done = 0   # of this submission: other slots may hold later IO
         for chunk, n in chunks:
@@ -196,7 +198,9 @@ class Device:
         pages = sum(c.pages() for c in cohorts)
         if pages == 0:
             return Handle(0, 0, done_t=t)
-        chunks = _chunk(cohorts, self.profile.batch_pages, self.model.extract)
+        batch = self.profile.batch_pages
+        chunks = ([(cohorts, pages)] if pages <= batch
+                  else _chunk(cohorts, batch, self.model.extract))
         handle = Handle(pages, len(chunks))
         src = INFLIGHT if write else FLASH
         for chunk, n in chunks:
@@ -217,6 +221,9 @@ class Device:
         return busy.index(min(busy))
 
     def _dispatch(self, t):
+        queues = self._queues
+        if not queues[EVICT] and not queues[PREFETCH]:
+            return                  # nothing queued; the heads are at 0
         while True:
             req = None
             for klass in (EVICT, PREFETCH):

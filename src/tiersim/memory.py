@@ -6,10 +6,22 @@ Workloads touch contiguous ranges, so cohorts keep policy structures small;
 semantics are identical to per-page tracking (a single-page access just
 splits a one-page cohort off), which the oracle tests rely on.
 
+A context's page map is keyed by first page, not by page: `Context.pages`
+maps each cohort's first page to the cohort, and `Context.starts` keeps those
+first pages in order. Allocating or splitting a cohort writes a constant
+number of entries whatever its size, and `MemoryModel.lookup` finds the
+cohort that holds an interior page by a predecessor search (the way Linux
+finds the mapping that covers an address in its maple tree). The cohorts,
+their bounds and every counter are the same as under a per-page map, so the
+behaviour is too.
+
 Tier states: DRAM, FLASH, INFLIGHT (with direction), DEAD after teardown.
 Census identity: dram + flash + inflight == total allocated, always.
 Pages are born dirty (their first content has never been written back).
 """
+
+from bisect import bisect_right
+from itertools import chain
 
 from .core import SimulationError
 
@@ -152,6 +164,67 @@ class PageList:
         return self.cohorts
 
 
+# A block of a first-page index splits in two once it holds more keys than
+# this: an insert moves the keys of one block and a search bisects the
+# blocks' first keys, then one block.
+INDEX_BLOCK = 512
+
+
+class StartIndex:
+    """The first pages of a context's cohorts, ascending, kept in sorted
+    blocks so that an insert moves one block, not every key. Insert-only:
+    cohorts split but never merge, so a first page lasts until teardown."""
+
+    __slots__ = ("blocks", "firsts")
+
+    def __init__(self):
+        self.blocks = []        # non-empty sorted key lists, in key order
+        self.firsts = []        # blocks[b][0] for every b
+
+    def __iter__(self):
+        return chain.from_iterable(self.blocks)
+
+    def locate(self, key):
+        """Where `key` would go: (b, j, below, above), with blocks[b][j] its
+        slot and below/above the keys on either side (None past an end)."""
+        firsts = self.firsts
+        b = bisect_right(firsts, key) - 1
+        if b < 0:
+            return 0, 0, None, (firsts[0] if firsts else None)
+        blk = self.blocks[b]
+        j = bisect_right(blk, key)
+        if j < len(blk):
+            above = blk[j]
+        elif b + 1 < len(firsts):
+            above = firsts[b + 1]
+        else:
+            above = None
+        return b, j, blk[j - 1], above
+
+    def insert_at(self, b, j, keys):
+        """Put `keys` (ascending, with no key between them) in slot (b, j)
+        from locate; a block that grows past INDEX_BLOCK splits in two."""
+        blocks = self.blocks
+        if not blocks:
+            blocks.append(list(keys))
+            self.firsts.append(keys[0])
+            return
+        blk = blocks[b]
+        blk[j:j] = keys
+        if j == 0:
+            self.firsts[b] = keys[0]
+        if len(blk) > INDEX_BLOCK:
+            right = blk[INDEX_BLOCK // 2:]
+            del blk[INDEX_BLOCK // 2:]
+            blocks.insert(b + 1, right)
+            self.firsts.insert(b + 1, right[0])
+
+    def add(self, *keys):
+        """Insert new keys, ascending, with no key between them."""
+        b, j, _, _ = self.locate(keys[0])
+        self.insert_at(b, j, keys)
+
+
 ACTIVE = "active"
 DORMANT = "dormant"
 ACTIVATING = "activating"
@@ -159,7 +232,7 @@ ACTIVATING = "activating"
 
 class Context:
     __slots__ = (
-        "cid", "alive", "pages", "total", "resident",
+        "cid", "alive", "pages", "starts", "total", "resident",
         # predictive-policy state; unused by the baseline
         "levels", "quota", "score", "window_count", "low_windows", "state",
         "hot_set",
@@ -168,7 +241,8 @@ class Context:
     def __init__(self, cid):
         self.cid = cid
         self.alive = True
-        self.pages = {}          # page index -> Cohort
+        self.pages = {}          # first page -> Cohort
+        self.starts = StartIndex()   # the keys of `pages`, in order
         self.total = 0
         self.resident = 0        # DRAM pages held by this context
         self.levels = None
@@ -208,11 +282,14 @@ class MemoryModel:
         by tier checks."""
         if not ctx.alive:
             raise SimulationError(f"teardown of dead context {ctx.cid!r}")
-        for c in dict.fromkeys(ctx.pages.values()):
+        pages = ctx.pages
+        for lo in ctx.starts:
+            c = pages[lo]
             self.transition(c, DEAD)
             if c.owner is not None:
                 c.owner.remove(c)
-        ctx.pages.clear()
+        pages.clear()
+        ctx.starts = StartIndex()
         ctx.alive = False
         del self.contexts[ctx.cid]
 
@@ -236,26 +313,44 @@ class MemoryModel:
             raise SimulationError(
                 f"DRAM overcommit: {n} frames requested, {self.free_frames()} free"
             )
+        if tier != DRAM and tier != FLASH:
+            raise SimulationError("pages must be created in DRAM or FLASH")
+        # find the slot and any collision before writing anything
+        pages = ctx.pages
+        starts = ctx.starts
+        b, j, below, above = starts.locate(lo)
+        if below is not None and pages[below].hi > lo:
+            raise SimulationError(f"page {lo} already allocated in {ctx.cid!r}")
+        if above is not None and above < hi:
+            raise SimulationError(f"page {above} already allocated in {ctx.cid!r}")
         c = Cohort(ctx, lo, hi, tier, dirty)
-        for idx in range(lo, hi):
-            if idx in ctx.pages:
-                raise SimulationError(f"page {idx} already allocated in {ctx.cid!r}")
-            ctx.pages[idx] = c
+        pages[lo] = c
+        starts.insert_at(b, j, (lo,))
         ctx.total += n
         self.total += n
         if tier == DRAM:
             self.dram_used += n
             ctx.resident += n
-        elif tier == FLASH:
-            self.flash_used += n
         else:
-            raise SimulationError("pages must be created in DRAM or FLASH")
+            self.flash_used += n
         return c
 
     def lookup(self, ctx: Context, idx: int):
+        """The cohort holding page idx, or None: a first page is one dict
+        read, any other page one predecessor search of the index."""
         if not ctx.alive:
             raise SimulationError(f"access to dead context {ctx.cid!r}")
-        return ctx.pages.get(idx)
+        pages = ctx.pages
+        c = pages.get(idx)
+        if c is None:
+            starts = ctx.starts
+            b = bisect_right(starts.firsts, idx) - 1
+            if b >= 0:
+                blk = starts.blocks[b]
+                c = pages[blk[bisect_right(blk, idx) - 1]]
+                if idx >= c.hi:
+                    return None
+        return c
 
     # -- tier transitions --------------------------------------------------
 
@@ -318,23 +413,25 @@ class MemoryModel:
         out = Cohort(ctx, lo, hi, c.tier, c.dirty)
         out.freq, out.level, out.expire = c.freq, c.level, c.expire
         out.dir, out.prefetched = c.dir, c.prefetched
-        pieces = []
+        pages = ctx.pages
+        pages[lo] = out
         if lo == c.lo:
             c.lo = hi                      # out takes the prefix
+            pages[hi] = c
+            ctx.starts.add(hi)
             pieces = [(out, "before")]
         elif hi == c.hi:
             c.hi = lo                      # out takes the suffix
+            ctx.starts.add(lo)
             pieces = [(out, "after")]
         else:
             right = Cohort(ctx, hi, c.hi, c.tier, c.dirty)
             right.freq, right.level, right.expire = c.freq, c.level, c.expire
             right.dir, right.prefetched = c.dir, c.prefetched
             c.hi = lo
+            pages[hi] = right
+            ctx.starts.add(lo, hi)
             pieces = [(out, "after"), (right, "after")]
-            for idx in range(right.lo, right.hi):
-                ctx.pages[idx] = right
-        for idx in range(out.lo, out.hi):
-            ctx.pages[idx] = out
         if c.owner is not None:
             lst = c.owner
             delta = 0
@@ -373,19 +470,31 @@ class MemoryModel:
             raise SimulationError(f"negative tier counter: {self.census()}")
 
     def check_full(self):
-        """O(pages) audit: recompute every counter from the cohort map."""
+        """O(cohorts) audit of the page map, then every counter recomputed
+        from it: each context's index is ordered and holds exactly the map's
+        keys, each key is its cohort's first page, and no two cohorts of a
+        context overlap."""
         self.check_counters()
         dram = flash = inflight = inflight_in = total = 0
         for ctx in self.contexts.values():
-            seen = set()
+            pages, starts = ctx.pages, ctx.starts
+            keys = list(starts)
+            if (not all(starts.blocks)
+                    or starts.firsts != [blk[0] for blk in starts.blocks]):
+                raise SimulationError(f"context {ctx.cid!r} page index blocks drifted")
+            if keys != sorted(pages):
+                raise SimulationError(
+                    f"context {ctx.cid!r} page index out of step with the page map")
             ctx_resident = 0
-            for idx, c in ctx.pages.items():
-                if not (c.lo <= idx < c.hi):
-                    raise SimulationError(f"page map points outside cohort: {idx} {c}")
-                if id(c) in seen:
-                    continue
-                seen.add(id(c))
-                n = c.pages()
+            end = None
+            for lo in keys:
+                c = pages[lo]
+                if c.lo != lo or c.hi <= lo or c.ctx is not ctx:
+                    raise SimulationError(f"page map key {lo} is not the first page of {c}")
+                if end is not None and lo < end:
+                    raise SimulationError(f"cohorts overlap below page {end}: {c}")
+                end = c.hi
+                n = c.hi - lo
                 total += n
                 if c.tier == DRAM:
                     dram += n

@@ -102,8 +102,11 @@ class Policy:
             cur = lo
             while cur < hi:
                 c = cohort_at(cur)
-                if c is None:
-                    raise SimulationError(f"access to unallocated page {ctx.cid!r}:{cur}")
+                if c is None:               # not a first page: search
+                    c = self.model.lookup(ctx, cur)
+                    if c is None:
+                        raise SimulationError(
+                            f"access to unallocated page {ctx.cid!r}:{cur}")
                 span = c.hi if c.hi < hi else hi
                 if c.tier == DRAM:
                     if c.lo == cur and c.hi <= hi:

@@ -365,7 +365,7 @@ def test_sleeper_wakes_after_the_first_range_of_a_walk():
     wake = pol._wake
 
     def spy(ctx, t):
-        woke.append((t, ctx.pages[0].tier, ctx.pages[1].tier))
+        woke.append((t, m.lookup(ctx, 0).tier, m.lookup(ctx, 1).tier))
         wake(ctx, t)
 
     pol._wake = spy
@@ -415,6 +415,24 @@ def test_eviction_drains_the_most_over_quota_context_first():
     assert a.resident == 120 and b.resident == 80
     sim.drain()
     assert pol.counters["evictions"] == 30
+
+
+def test_a_short_first_victim_context_hands_over_in_quota_order():
+    """When the most over-quota context cannot cover the need, the others
+    follow by how far over quota they are, ties by context id."""
+    sim, m, dev, pol = dmx_stack(dram=1000, flash=4096)
+    over = {"d": 10, "b": 30, "c": 20, "a": 20}
+    ctxs = {cid: pol.register(m.new_context(cid)) for cid in over}
+    for cid, ctx in ctxs.items():
+        pol.on_allocate(ctx, 0, 100, 0)
+    for cid, ctx in ctxs.items():
+        ctx.quota = 100 - over[cid]
+    assert pol._take_victims(55, 0) == 55
+    assert {cid: 100 - ctx.resident for cid, ctx in ctxs.items()} == {
+        "b": 30, "a": 20, "c": 5, "d": 0}
+    sim.drain()
+    assert pol.counters["evictions"] == 55
+    m.check_full()
 
 
 def test_victims_leave_lowest_level_first_expired_before_live():
@@ -469,7 +487,7 @@ def test_emergency_reclaim_covers_fault_bursts():
     assert pol.counters["emergency_reclaims"] == 1
     assert done_at > 10                    # a read happened
     sim.drain()
-    assert ctx.pages[64].tier == DRAM
+    assert m.lookup(ctx, 64).tier == DRAM
     m.check_full()
 
 
@@ -488,7 +506,7 @@ def test_emergency_reclaim_outlasts_a_prefetch_taking_the_freed_frames():
     assert pol.counters["emergency_reclaims"] == 1
     assert done_at > 10
     sim.drain()
-    assert [ctx.pages[i].tier for i in (64, 67)] == [DRAM, DRAM]
+    assert [m.lookup(ctx, i).tier for i in (64, 67)] == [DRAM, DRAM]
     assert sleeper.resident == 4 and sleeper.state == ACTIVE
     assert pol.counters["evictions"] == 8
     m.check_full()

@@ -5,6 +5,7 @@ import pytest
 from tiersim.core import SimulationError
 from tiersim.memory import (
     MemoryModel, PageList, Cohort, DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH,
+    INDEX_BLOCK,
 )
 
 
@@ -98,7 +99,7 @@ def test_extract_prefix_suffix_interior_and_identity():
     c = m.create(ctx, 0, 100)
     # full range: same object back, nothing split
     assert m.extract(c, 0, 100) is c
-    assert len(ctx.pages) == 100
+    assert sum(c.pages() for c in ctx.pages.values()) == 100
 
     pre = m.extract(c, 0, 10)
     assert (pre.lo, pre.hi) == (0, 10) and (c.lo, c.hi) == (10, 100)
@@ -108,9 +109,9 @@ def test_extract_prefix_suffix_interior_and_identity():
     assert (mid.lo, mid.hi) == (40, 60)
     assert (c.lo, c.hi) == (10, 40)
     # page map resolves every index to the piece that now holds it
-    assert ctx.pages[5] is pre and ctx.pages[45] is mid
-    assert ctx.pages[70].lo == 60 and ctx.pages[70].hi == 90
-    assert ctx.pages[95] is suf
+    assert m.lookup(ctx, 5) is pre and m.lookup(ctx, 45) is mid
+    assert m.lookup(ctx, 70).lo == 60 and m.lookup(ctx, 70).hi == 90
+    assert m.lookup(ctx, 95) is suf
     assert m.census()["total"] == 100
     m.check_full()
 
@@ -165,7 +166,7 @@ def test_teardown_releases_everything():
     lst.append(c1)
     m.teardown(ctx)
     assert m.census() == {"dram": 0, "flash": 0, "inflight": 0, "total": 0}
-    assert not ctx.alive and ctx.pages == {}
+    assert not ctx.alive and not ctx.pages
     assert len(lst) == 0 and lst.page_count == 0
     assert c1.owner is None and c2.tier == c1.tier == 3  # DEAD
     with pytest.raises(SimulationError):
@@ -261,3 +262,171 @@ def test_full_audit_catches_counter_drift():
     ctx.resident += 2
     with pytest.raises(SimulationError):
         m.check_full()
+
+
+def test_a_colliding_create_writes_nothing():
+    m = model()
+    ctx = m.new_context("a")
+    m.create(ctx, 10, 20)
+    before = (m.census(), m.inflight_in, ctx.total, ctx.resident, m.free_frames())
+    for lo, hi, page in [(5, 15, 10), (15, 25, 15), (0, 30, 10), (10, 20, 10)]:
+        with pytest.raises(SimulationError, match=f"page {page} already allocated"):
+            m.create(ctx, lo, hi)
+        assert all(m.lookup(ctx, i) is None for i in range(0, 10))
+        assert all(m.lookup(ctx, i) is None for i in range(20, 30))
+        assert (m.census(), m.inflight_in, ctx.total, ctx.resident,
+                m.free_frames()) == before
+        assert list(ctx.pages) == list(ctx.starts) == [10]
+        m.check_full()
+    with pytest.raises(SimulationError, match="DRAM or FLASH"):
+        m.create(ctx, 0, 5, tier=INFLIGHT)
+    assert m.lookup(ctx, 0) is None and m.census() == before[0]
+    m.check_full()
+
+
+def _reference_bounds(ref, lo, hi, bounds):
+    for idx in range(lo, hi):
+        ref[idx] = bounds
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_page_map_matches_a_per_page_reference(seed):
+    """Random creates (with collisions and gaps) and prefix, suffix,
+    interior and whole extracts, against a per-page reference of each
+    page's cohort bounds. Enough first pages to split index blocks."""
+    rng = random.Random(seed)
+    space = 12 * INDEX_BLOCK
+    m = MemoryModel(10, 4 * space)
+    ctx = m.new_context("a")
+    ref = {}                        # page -> (lo, hi) of the cohort holding it
+    born = []                       # the allocated pages, in birth order
+
+    def audit(pages):
+        for idx in pages:
+            c = m.lookup(ctx, idx)
+            if idx not in ref:
+                assert c is None, idx
+            else:
+                assert (c.lo, c.hi) == ref[idx], idx
+                assert m.lookup(ctx, c.lo) is c
+        assert list(ctx.starts) == sorted(ctx.pages)
+
+    def audit_all():
+        audit(range(-1, space + 8))
+        assert sorted(ctx.pages) == sorted({lo for lo, _ in ref.values()})
+        m.check_full()
+
+    collisions = 0
+    for step in range(6 * INDEX_BLOCK):
+        if not ref or rng.random() < 0.5:
+            lo = rng.randrange(space)
+            hi = lo + rng.randint(1, 6)
+            touched = range(lo - 1, hi + 1)
+            if any(idx in ref for idx in range(lo, hi)):
+                collisions += 1
+                with pytest.raises(SimulationError, match="already allocated"):
+                    m.create(ctx, lo, hi, tier=FLASH)
+            else:
+                c = m.create(ctx, lo, hi, tier=FLASH)
+                assert (c.lo, c.hi) == (lo, hi)
+                _reference_bounds(ref, lo, hi, (lo, hi))
+                born.extend(range(lo, hi))
+        else:
+            c = m.lookup(ctx, rng.choice(born))
+            clo, chi = c.lo, c.hi
+            kind = rng.choice(("prefix", "suffix", "interior", "whole"))
+            n = chi - clo
+            if kind == "whole" or n == 1:
+                lo, hi = clo, chi
+            elif kind == "prefix":
+                lo, hi = clo, clo + rng.randint(1, n - 1)
+            elif kind == "suffix":
+                lo, hi = chi - rng.randint(1, n - 1), chi
+            elif n >= 3:
+                lo = rng.randint(clo + 1, chi - 2)
+                hi = rng.randint(lo + 1, chi - 1)
+            else:
+                lo, hi = clo, clo + 1
+            out = m.extract(c, lo, hi)
+            assert (out.lo, out.hi) == (lo, hi)
+            assert (out is c) == ((lo, hi) == (clo, chi))
+            if clo < lo:
+                _reference_bounds(ref, clo, lo, (clo, lo))
+                assert m.lookup(ctx, clo) is c
+            if hi < chi:
+                _reference_bounds(ref, hi, chi, (hi, chi))
+            _reference_bounds(ref, lo, hi, (lo, hi))
+            touched = range(clo - 1, chi + 1)
+        audit(touched)
+        if step % 500 == 0:
+            audit_all()
+    audit_all()
+    assert collisions > 50
+    assert len(ctx.starts.blocks) > 2
+    assert sum(c.pages() for c in ctx.pages.values()) == len(ref) == m.total
+
+
+def _split_map():
+    m = model()
+    ctx = m.new_context("a")
+    for i in range(4):
+        m.create(ctx, 10 * i, 10 * i + 10)
+    c = m.lookup(ctx, 30)
+    m.extract(c, 34, 36)
+    m.check_full()
+    return m, ctx
+
+
+def test_full_audit_rejects_a_stale_key():
+    m, ctx = _split_map()
+    ctx.pages[36] = ctx.pages[34]           # key 36 no longer starts its cohort
+    with pytest.raises(SimulationError, match="not the first page"):
+        m.check_full()
+
+
+def test_full_audit_rejects_an_index_out_of_order_or_out_of_step():
+    m, ctx = _split_map()
+    blk = ctx.starts.blocks[0]
+    blk[1], blk[2] = blk[2], blk[1]
+    with pytest.raises(SimulationError, match="out of step"):
+        m.check_full()
+    blk[1], blk[2] = blk[2], blk[1]
+    m.check_full()
+    blk.remove(36)                          # a key the index lost
+    with pytest.raises(SimulationError, match="out of step"):
+        m.check_full()
+    blk.append(36)
+    ctx.starts.firsts[0] = 5                # a block's first key drifted
+    with pytest.raises(SimulationError, match="blocks drifted"):
+        m.check_full()
+
+
+def test_full_audit_rejects_overlapping_cohorts():
+    m, ctx = _split_map()
+    a, b = m.lookup(ctx, 0), m.lookup(ctx, 10)
+    a.hi, b.hi = 12, 18                     # same page count, overlapping
+    with pytest.raises(SimulationError, match="overlap"):
+        m.check_full()
+
+
+def test_collisions_and_lookups_across_index_block_boundaries():
+    """Births on every other page, last page first, split the index into
+    blocks; a birth that reaches only the next block's first page collides,
+    and one that stops short of it fits the gap."""
+    m = MemoryModel(10, 10 * INDEX_BLOCK)
+    ctx = m.new_context("a")
+    n = 2 * INDEX_BLOCK + 1
+    for i in reversed(range(n)):
+        m.create(ctx, 2 * i + 1, 2 * i + 2, tier=FLASH)
+    firsts = list(ctx.starts.firsts)
+    assert len(firsts) > 2
+    for first in firsts[1:]:
+        with pytest.raises(SimulationError, match=f"page {first} already allocated"):
+            m.create(ctx, first - 1, first + 1, tier=FLASH)
+        assert m.lookup(ctx, first - 1) is None
+        assert m.lookup(ctx, first).lo == first
+    for first in firsts[1:]:
+        m.create(ctx, first - 1, first, tier=FLASH)
+    assert [m.lookup(ctx, i) is None for i in range(2 * n + 1)] == [
+        i % 2 == 0 and i + 1 not in firsts[1:] for i in range(2 * n + 1)]
+    m.check_full()

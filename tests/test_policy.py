@@ -79,7 +79,7 @@ def test_walk_calls_each_hook_once_per_piece_cluster_and_read(policy_cls):
     # its read in flight and calls no hook
     pol.access_range(ctx, 8, 16, 40, batch=True)
     assert calls == [("_make_room", 8)]
-    assert ctx.pages[9].tier == INFLIGHT and ctx.pages[9].dir == TO_DRAM
+    assert m.lookup(ctx, 9).tier == INFLIGHT and m.lookup(ctx, 9).dir == TO_DRAM
     pol.access_range(ctx, 9, 11, 41)
     assert calls == [("_make_room", 8)]
     # unbatched: one cluster per page
@@ -95,7 +95,7 @@ def test_walk_calls_each_hook_once_per_piece_cluster_and_read(policy_cls):
     assert dev.stats["demand_ios"] == 4
     assert pol.counters["demand_faults"] == 8 + 2 + 3
     assert pol.counters["fault_clusters"] == 1 + 1 + 3
-    assert all(ctx.pages[i].tier == DRAM for i in range(19))
+    assert all(m.lookup(ctx, i).tier == DRAM for i in range(19))
     m.check_full()
 
 
@@ -108,7 +108,7 @@ def test_dmx_window_counts_each_walked_page_once():
     pol.access_range(ctx, 0, 4, 1)                  # [0, 4) climbs a level
     ctx.quota = 4
     pol._take_victims(4, 1)                         # so [4, 8) drains
-    assert ctx.pages[4].tier == INFLIGHT and ctx.pages[4].dir == TO_FLASH
+    assert m.lookup(ctx, 4).tier == INFLIGHT and m.lookup(ctx, 4).dir == TO_FLASH
     pol.access_range(ctx, 8, 12, 1, batch=True)     # a read in flight
     before = ctx.window_count
     ends = []
@@ -123,7 +123,7 @@ def test_dmx_window_counts_each_walked_page_once():
     assert len(ends) == 1
     assert pol.counters["demand_evict_waits"] == 1
     assert ctx.window_count == before + 12
-    assert all(ctx.pages[i].tier == DRAM for i in range(12))
+    assert all(m.lookup(ctx, i).tier == DRAM for i in range(12))
     m.check_full()
 
 
@@ -166,7 +166,7 @@ def test_a_wait_in_range_two_of_three_resumes_then_walks_range_three(policy_cls)
     assert logged == ([(100, i) for i in range(16)] +
                       [(tw, i) for i in range(12, 16)] +
                       [(tw + read_4, i) for i in range(16, 20)])
-    assert all(ctx.pages[i].tier == DRAM for i in range(20))
+    assert all(m.lookup(ctx, i).tier == DRAM for i in range(20))
     m.check_full()
 
 

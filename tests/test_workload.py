@@ -470,8 +470,9 @@ def _replay(records, log_to):
     sim.drain()
     tiers = {}
     for cid, ctx in driver.ctxs.items():
-        for idx, c in ctx.pages.items():
-            tiers[(cid, idx)] = c.tier
+        for c in ctx.pages.values():
+            for idx in range(c.lo, c.hi):
+                tiers[(cid, idx)] = c.tier
     log_to.write_text(
         "".join(f"{t} {cid} {idx} {op}\n" for t, cid, idx, op in pol.access_log))
     return pol.access_log, dict(pol.counters), tiers
