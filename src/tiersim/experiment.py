@@ -112,8 +112,9 @@ def run_point(cfg, policy_name, device_name, containers,
 def _collected_point(args):
     """run_point, then a full collection outside its timing. A point's
     model is cyclic (context, cohorts and page lists refer to each other),
-    and walks leave too little garbage for the cyclic collector to run
-    often, so without it one point's whole graph lives on into the next."""
+    and Simulator.run pauses the cyclic collector, so this collection is
+    the one that frees it; without it one point's whole graph would live
+    on into the next."""
     summary = run_point(*args)
     gc.collect()
     return summary

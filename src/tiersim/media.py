@@ -19,7 +19,9 @@ DRAM is full.
 Requests never exceed batch_pages; larger submissions split.
 """
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .core import SimulationError, US_PER_S
 from .memory import (
@@ -136,8 +138,9 @@ class Device:
         self.model = model
         self.profile = profile
         self._busy = [0] * profile.max_inflight
-        self._queues = {EVICT: [], PREFETCH: []}  # FIFO via index
-        self._qhead = {EVICT: 0, PREFETCH: 0}
+        # FIFO per class; a request leaves its queue when it is dispatched
+        # or dropped, so the queue holds only what is still waiting
+        self._queues = {EVICT: deque(), PREFETCH: deque()}
         self.stats = {
             "demand_ios": 0, "evict_ios": 0, "prefetch_ios": 0,
             "pages_read": 0, "pages_written": 0,
@@ -182,7 +185,7 @@ class Device:
         self._busy[slot] = done
         req.done_t = done
         self.stats["busy_us"] += svc
-        self.sim.schedule(done, "io-done", lambda at, r=req: self._complete(r, at))
+        self.sim.schedule(done, "io-done", partial(self._complete, req))
         return done
 
     # -- background path ---------------------------------------------------
@@ -221,21 +224,11 @@ class Device:
         return busy.index(min(busy))
 
     def _dispatch(self, t):
-        queues = self._queues
-        if not queues[EVICT] and not queues[PREFETCH]:
-            return                  # nothing queued; the heads are at 0
-        while True:
-            req = None
-            for klass in (EVICT, PREFETCH):
-                q, h = self._queues[klass], self._qhead[klass]
-                if h < len(q):
-                    req = q[h]
-                    break
-            if req is None:
-                for klass in (EVICT, PREFETCH):
-                    self._queues[klass].clear()
-                    self._qhead[klass] = 0
-                return
+        evicts = self._queues[EVICT]
+        prefetches = self._queues[PREFETCH]
+        while evicts or prefetches:
+            q = evicts if evicts else prefetches
+            req = q[0]
             slot = self._least_busy_slot()
             if self._busy[slot] > t:
                 return
@@ -245,17 +238,16 @@ class Device:
             req.cohorts = live
             req.pages = sum(c.pages() for c in live)
             if req.pages == 0:
-                self._qhead[req.klass] += 1
+                q.popleft()
                 self.stats["dropped_requests"] += 1
                 req.handle._finish_one(t)
                 continue
             if not req.write and self.model.free_frames() < req.pages:
                 return  # inbound prefetch blocked until frames open up
-            self._qhead[req.klass] += 1
+            q.popleft()
             if self.dispatch_log is not None:
                 self.dispatch_log.append(
-                    (t, req.klass, self.queued_requests(EVICT),
-                     self.queued_requests(PREFETCH)))
+                    (t, req.klass, len(evicts), len(prefetches)))
             self._start(req, slot, t)
 
     # -- completion --------------------------------------------------------
@@ -285,4 +277,4 @@ class Device:
     # -- diagnostics -------------------------------------------------------
 
     def queued_requests(self, klass) -> int:
-        return len(self._queues[klass]) - self._qhead[klass]
+        return len(self._queues[klass])

@@ -262,15 +262,16 @@ class TraceError(SimulationError):
 def load_trace(path):
     """Parse `time_us context_id page_index {r|w}` lines; `#` starts a
     comment. Returns the record list; malformed input and time regressions
-    abort with the offending line number."""
+    abort with the offending line number. Records of one context share
+    one context id string."""
     records = []
+    cids = {}
     last_t = 0
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
                 continue
-            parts = line.split()
             if len(parts) != 4:
                 raise TraceError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
             t_s, cid, idx_s, rw = parts
@@ -286,7 +287,7 @@ def load_trace(path):
             if t < last_t:
                 raise TraceError(f"{path}:{ln}: time regression {t} < {last_t}")
             last_t = t
-            records.append((t, cid, idx, rw))
+            records.append((t, cids.setdefault(cid, cid), idx, rw))
     return records
 
 
@@ -316,7 +317,9 @@ class TraceDriver:
             self.policy.register(ctx)
             self.ctxs[cid] = ctx
         self.accesses += 1
-        if self.model.lookup(ctx, idx) is None:
+        # every page is born a one-page cohort and cohorts never merge, so
+        # each allocated page is a first page: a key of ctx.pages
+        if idx not in ctx.pages:
             self.policy.on_allocate(ctx, idx, idx + 1, t)
         else:
             self.policy.walk(ctx, [(idx, idx + 1)], t, False, rw == "w",

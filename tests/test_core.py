@@ -1,10 +1,18 @@
+import gc
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from helpers import build
 from oracles import mix_seed_reference, splitmix64_reference
+from tiersim.config import resolve
 from tiersim.core import (BLOCK, Simulator, SplitMix64, SimulationError, _block,
                           mix_seed)
+from tiersim.dmx import DmxPolicy
+from tiersim.experiment import run_point, run_trace
+from tiersim.memory import DORMANT, FLASH
+from tiersim.workload import walk_ranges
 
 
 def test_empty_run_advances_clock_and_processes_nothing():
@@ -45,6 +53,142 @@ def test_drain_empties_the_queue():
     sim.schedule(3, "a", lambda t: sim.schedule(t + 4, "b", out.append))
     assert sim.drain() == 2
     assert out == [7]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_it(enabled):
+    sim = Simulator()
+    seen = []
+    sim.schedule(1, "x", lambda t: seen.append(gc.isenabled()))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert sim.run(5) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_an_event_that_raises_leaves_the_collector_as_it_was(enabled):
+    sim = Simulator()
+
+    def fail(t):
+        raise SimulationError("boom")
+
+    sim.schedule(1, "x", fail)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SimulationError, match="boom"):
+            sim.run(5)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# -- no cyclic garbage inside a run ------------------------------------------
+
+@pytest.fixture
+def run_garbage(monkeypatch):
+    """Wraps Simulator.run: each call starts after a full collection and
+    ends with one under DEBUG_SAVEALL, so every object that a call's events
+    left unreachable, and only the cyclic collector could free, is kept
+    and its type recorded in `found`. The model stays alive in the caller
+    meanwhile. `events` holds each call's event count."""
+    found, events = [], []
+    run = Simulator.run
+
+    def checked(self, until):
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            n = run(self, until)
+            gc.collect()
+            found.extend(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        events.append(n)
+        return n
+
+    monkeypatch.setattr(Simulator, "run", checked)
+    return SimpleNamespace(found=found, events=events)
+
+
+@pytest.mark.parametrize("policy,device,extra", [
+    ("swap", "flash", {}),
+    ("dmx", "flash", {}),
+    ("swap", "disk", {}),
+    ("dmx", "flash", {"dmx.dormant_threshold": "60"}),
+], ids=["swap-flash", "dmx-flash", "swap-disk", "dmx-dormant"])
+def test_a_point_leaves_no_cyclic_garbage(run_garbage, tmp_path, monkeypatch,
+                                          policy, device, extra):
+    """Faults, evictions and ticks at a 25-container point; with a high
+    dormant threshold, dmx contexts also fall dormant and wake."""
+    wakes = []
+    wake = DmxPolicy._wake
+    monkeypatch.setattr(DmxPolicy, "_wake", lambda self, ctx, t: (
+        wakes.append(t), wake(self, ctx, t))[1])
+    cfg = resolve(None, {"device": device, "policy": policy,
+                         "duration_s": "6", "warmup_s": "1", **extra})
+    events = tmp_path / "events.log"
+    summary = run_point(cfg, policy, device, 25, str(events))
+    kinds = {line.split("\t")[2] for line in events.read_text().splitlines()}
+    assert {"io-done", "tick", "txn-done", "noise-wake"} <= kinds
+    assert summary.demand_faults > 0 and summary.evictions > 0
+    assert run_garbage.events[0] > 10_000
+    assert bool(wakes) == bool(extra)
+    assert run_garbage.found == []
+
+
+def test_a_dmx_wake_and_its_prefetch_leave_no_cyclic_garbage(run_garbage):
+    sim, m, dev = build(dram=2048, flash=16384)
+    pol = DmxPolicy(sim, m, dev)
+    ctx = pol.register(m.new_context("sleeper"))
+    m.create(ctx, 0, 64, tier=FLASH, dirty=False)
+    ctx.state = DORMANT
+    ctx.hot_set = [(0, 64)]
+    ctx.quota = 200
+    ends = []
+    sim.schedule(10, "wake", lambda t: walk_ranges(
+        pol, ctx, [(0, 1), (1, 2)], t, False, False, ends.append))
+    sim.run(10_000)
+    assert pol.counters["prefetch_issued"] == 63
+    assert pol.counters["prefetch_landed"] == 63 and len(ends) == 1
+    assert run_garbage.found == []
+
+
+def _write_trace(path, seed=7, records=3000):
+    """Two contexts of 160 pages, skewed toward low pages, 40% writes, 1 to
+    250 us apart: in 128 frames, walks often wait for a victim's write."""
+    rnd = random.Random(seed)
+    t, lines = 0, []
+    for _ in range(records):
+        page = min(int(rnd.expovariate(1 / 40)), 159)
+        op = "w" if rnd.random() < 0.4 else "r"
+        lines.append(f"{t} {rnd.choice('ab')} {page} {op}\n")
+        t += rnd.choice((1, 3, 10, 60, 250))
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("policy", ["swap", "dmx"])
+def test_a_trace_replay_leaves_no_cyclic_garbage(run_garbage, tmp_path, policy):
+    """Births, faults, evictions and walks that wait on a victim's write
+    and resume, over every run call of the replay and its drain."""
+    trace = tmp_path / "rw.trace"
+    _write_trace(trace)
+    cfg = resolve(None, {"policy": policy, "device": "flash",
+                         "mem.dram_pages": "128"})
+    _, driver = run_trace(cfg, str(trace), str(tmp_path / "out"))
+    counters = driver.policy.counters
+    assert driver.accesses == 3000 and len(run_garbage.events) > 1
+    assert counters["demand_faults"] > 0 and counters["evictions"] > 0
+    if policy == "dmx":
+        assert counters["demand_evict_waits"] > 0
+    assert run_garbage.found == []
 
 
 def _cascade_log(path, seed):

@@ -199,3 +199,25 @@ def test_busy_time_respects_bandwidth():
     moved = (dev.stats["pages_read"] + dev.stats["pages_written"]) * 4096
     floor_us = moved * 1_000_000 // dev.profile.bandwidth_bps
     assert dev.stats["busy_us"] >= floor_us
+
+
+def test_an_evict_queue_that_never_empties_holds_only_waiting_requests():
+    """One-page write-backs arrive every 100 us and take 204 us on the one
+    slot, so the evict queue is never empty again after the first; it still
+    lets go of each request once that request starts."""
+    sim, m, dev = build(max_inflight=1)
+    ctx = m.new_context("a")
+    runs = [m.create(ctx, k, k + 1) for k in range(40)]    # dram, dirty
+    for k, c in enumerate(runs):
+        sim.schedule(100 * k, "evict",
+                     lambda t, c=c: dev.submit_background(EVICT, [c], t))
+    for until in (1_000, 2_000, 3_900):
+        sim.run(until)
+        queue = dev._queues[EVICT]
+        assert len(queue) == dev.queued_requests(EVICT) > 0
+        assert all(req.done_t is None for req in queue)     # none started
+        started = dev.stats["evict_ios"] + 1                # one in flight
+        assert started + len(queue) == until // 100 + 1
+    sim.drain()
+    assert dev.queued_requests(EVICT) == 0 and not dev._queues[EVICT]
+    assert dev.stats["evict_ios"] == 40

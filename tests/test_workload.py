@@ -446,6 +446,60 @@ def test_malformed_traces_name_the_line(tmp_path, body):
     assert ".trace:" in str(err.value)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("10 web 0 r 9\n", "expected 4 fields, got 5"),
+    ("x web -1 q\n", "non-integer time or page index"),
+    ("10 web x r\n", "non-integer time or page index"),
+    ("-5 web 0 q\n", "negative time or page index"),
+    ("10 web -1 r\n", "negative time or page index"),
+    ("20 web 0 r\n10 web 0 q\n", "rw flag must be r or w"),
+    ("20 web 0 r\n10 web 0 r\n", "time regression 10 < 20"),
+])
+def test_a_bad_line_fails_its_first_check(tmp_path, body, message):
+    """Checks run in order: field count, integers, signs, rw flag, time."""
+    p = tmp_path / "bad.trace"
+    p.write_text("  # indented comment\n" + body)
+    lines = body.count("\n")
+    with pytest.raises(TraceError) as err:
+        load_trace(str(p))
+    assert str(err.value) == f"{p}:{lines + 1}: {message}"
+
+
+def test_records_of_one_context_share_its_id_string(tmp_path):
+    p = tmp_path / "t.trace"
+    p.write_text("10 web 0 w\n  20\tweb 1 r  \n30 db 5 w\n40 web 2 r\n")
+    records = load_trace(str(p))
+    assert records == [(10, "web", 0, "w"), (20, "web", 1, "r"),
+                       (30, "db", 5, "w"), (40, "web", 2, "r")]
+    assert records[0][1] is records[1][1] is records[3][1]
+
+
+@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
+                         ids=["swap", "dmx"])
+def test_a_replay_keeps_every_page_a_first_page(policy_cls):
+    """TraceDriver tells a birth from an access by `idx in ctx.pages`:
+    that needs every allocated page to stay a one-page cohort through
+    faults, evictions and write-backs."""
+    rng = SplitMix64(9)
+    records, t = [], 0
+    for _ in range(3000):
+        t += 1 + rng.randrange(250)
+        records.append((t, "ab"[rng.randrange(2)], rng.randrange(160),
+                        "rw"[rng.randrange(2)]))
+    sim, m, dev = build(dram=128, flash=1024)
+    pol = policy_cls(sim, m, dev)
+    driver = TraceDriver(sim, m, pol, records)
+    driver.start()
+    sim.run(records[-1][0])
+    sim.drain()
+    assert pol.counters["demand_faults"] > 0 and pol.counters["evictions"] > 0
+    for cid, ctx in driver.ctxs.items():
+        born = {idx for _, c, idx, _ in records if c == cid}
+        assert sorted(ctx.pages) == sorted(born) == list(ctx.starts)
+        assert all(c.hi == c.lo + 1 for c in ctx.pages.values())
+    m.check_full()
+
+
 def test_driver_replays_in_timestamp_order(tmp_path):
     p = tmp_path / "t.trace"
     p.write_text("0 c1 0 w\n10 c1 0 r\n20 c2 5 r\n")
