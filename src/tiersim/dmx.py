@@ -2,7 +2,8 @@
 activity-scored DRAM quotas, dormancy detection with hot-set snapshots,
 reactivation prefetch, and background eviction kept off the access path.
 
-Per context, resident pages sit in M frequency-leveled queues:
+Per context (a DmxContext record in `DmxPolicy.contexts`, registration
+order), resident pages sit in M frequency-leveled queues:
 promotion to level L+1 once freq >= 2^(L+1); going untouched for one
 lifetime demotes a run one level and resets freq to exactly 2^(new level).
 A periodic tick (one activity window) runs expiry, closes EWMA activity
@@ -53,9 +54,7 @@ from heapq import heapify, heappop, heappush
 from operator import attrgetter
 
 from .core import SimulationError
-from .memory import (
-    DRAM, FLASH, PageList, ACTIVE, DORMANT, ACTIVATING,
-)
+from .memory import DRAM, FLASH, PageList
 from .media import EVICT, PREFETCH
 from .policy import HIT_IN_FLIGHT, Policy
 
@@ -67,13 +66,36 @@ from .policy import HIT_IN_FLIGHT, Policy
 INDEX_ENTRIES_PER_RUN = 3
 INDEX_SLACK = 64
 
+ACTIVE = "active"
+DORMANT = "dormant"
+ACTIVATING = "activating"
+
 _cohorts = attrgetter("cohorts")
 
 
-def _over_quota_order(ctx):
+def _over_quota_order(rec):
     """The victim order of over-quota contexts: most over quota first, ties
     by the context id as a string."""
-    return ctx.quota - ctx.resident, str(ctx.cid)
+    return rec.quota - rec.ctx.resident, str(rec.ctx.cid)
+
+
+class DmxContext:
+    """dmx's state for one registered context. Its victim index is None until
+    a selection builds one, and every tick drops it."""
+
+    __slots__ = ("ctx", "levels", "quota", "score", "window_count",
+                 "low_windows", "state", "hot_set", "index")
+
+    def __init__(self, ctx, levels):
+        self.ctx = ctx
+        self.levels = [PageList() for _ in range(levels)]
+        self.quota = 0
+        self.score = 0.0
+        self.window_count = 0
+        self.low_windows = 0
+        self.state = ACTIVE
+        self.hot_set = None
+        self.index = None
 
 
 class AgingLog:
@@ -229,31 +251,27 @@ class DmxPolicy(Policy):
         self.dormant_windows = dormant_windows
         self.floor_pages = floor_pages
         self.reserve = int(model.dram_pages * reserve_frac)
-        self.contexts = []            # registration order, deterministic
+        self.contexts = {}            # Context -> DmxContext, registration order
         self._expiry = {}             # window index -> {cohort: None}
         self._aging = AgingLog()
-        self._victim_index = {}       # context -> VictimIndex
         self.counters.update(prefetch_landed=0, demand_evict_waits=0,
                              emergency_reclaims=0)
 
     # -- context management ------------------------------------------------
 
     def register(self, ctx):
-        ctx.levels = [PageList() for _ in range(self.levels)]
-        self.contexts.append(ctx)
+        self.contexts[ctx] = DmxContext(ctx, self.levels)
         self.rebalance_quotas()
         return ctx
 
     def on_teardown(self, ctx):
         for c in ctx.pages.values():
             if c.tier == DRAM and c.prefetched:
-                self.counters["mispredictions"] += c.pages()
-        for plist in ctx.levels:
+                self.counters["mispredictions"] += c.hi - c.lo
+        for plist in self.contexts.pop(ctx).levels:
             for c in plist:
                 if c.level or c.freq != 1:
                     self._wheel_drop(c)
-        self.contexts.remove(ctx)
-        self._victim_index.pop(ctx, None)
         self.model.teardown(ctx)
         self.rebalance_quotas()
 
@@ -270,24 +288,22 @@ class DmxPolicy(Policy):
         if not bucket:
             del self._expiry[key]
 
-    def _mark_changed(self, ctx, c):
-        index = self._victim_index.get(ctx)
-        if index is not None:
-            index.changed[c] = None
-
     def _enqueue(self, ctx, c, t):
+        rec = self.contexts[ctx]
         c.level = 0
         c.freq = 1
         c.expire = t + self.lifetime_us
-        ctx.levels[0].append(c)
-        self._mark_changed(ctx, c)
+        rec.levels[0].append(c)
+        if rec.index is not None:
+            rec.index.changed[c] = None
 
     def _on_hit(self, ctx, c, t, split):
         """Credit a prefetch, count a touch of c at t and re-arm it. `split`
         says c was just cut off a larger run, so it holds no wheel entry yet."""
         if c.prefetched:
-            self.counters["prefetch_hits"] += c.pages()
+            self.counters["prefetch_hits"] += c.hi - c.lo
             c.prefetched = False
+        rec = self.contexts[ctx]
         expire = t + self.lifetime_us
         window = self.window_us
         level = c.level
@@ -305,23 +321,24 @@ class DmxPolicy(Policy):
                 level += 1
             c.owner.remove(c)
             c.level = level
-            ctx.levels[level].append(c)
+            rec.levels[level].append(c)
         c.expire = expire
         if not stays:                           # else its bucket is unchanged
             self._wheel_add(c)
-        index = self._victim_index.get(ctx)     # _mark_changed, inlined: hot
-        if index is not None:
-            index.changed[c] = None
+        if rec.index is not None:
+            rec.index.changed[c] = None
 
     def _on_split(self, ctx, c, span, end):
         # the hit piece itself is re-keyed by _on_hit
-        if c.lo == span:
-            self._mark_changed(ctx, c)          # the hit took c's head
-        elif span < end:
-            right = ctx.pages[span]             # new right part
-            if right.level or right.freq != 1:
-                self._wheel_add(right)
-            self._mark_changed(ctx, right)
+        if c.lo != span:                        # else the hit took c's head
+            if span == end:
+                return                          # the hit took c's tail
+            c = ctx.pages[span]                 # the new right part
+            if c.level or c.freq != 1:
+                self._wheel_add(c)
+        index = self.contexts[ctx].index
+        if index is not None:
+            index.changed[c] = None
 
     def _on_walked(self, ctx, lo, end, t, waited):
         """The walked pages [lo, end) count toward the window (no tick runs
@@ -330,24 +347,26 @@ class DmxPolicy(Policy):
         range's pages are in flight as demand reads, so the reactivation
         prefetch covers exactly the rest of the hot set. A wait-exit leaves
         it dormant; the resumed walk finishes the job."""
+        rec = self.contexts[ctx]
         if waited:              # stopped at a victim still draining
             self.counters["demand_evict_waits"] += 1
-        elif ctx.state == DORMANT:
-            self._wake(ctx, t)
-        ctx.window_count += end - lo
+        elif rec.state == DORMANT:
+            self._wake(rec, t)
+        rec.window_count += end - lo
 
     def _expire_sweep(self, t):
         idx = t // self.window_us
         rearm = t + self.lifetime_us
         self._aging.record(idx * self.window_us, rearm)
-        self._victim_index.clear()    # effective expiries moved: rebuild
+        for rec in self.contexts.values():
+            rec.index = None            # effective expiries moved: rebuild
         wheel = self._expiry
         for key in sorted(k for k in wheel if k <= idx):
             for c in wheel.pop(key):
                 if c.level > 0:
                     c.owner.remove(c)
                     c.level -= 1
-                    c.ctx.levels[c.level].append(c)
+                    self.contexts[c.ctx].levels[c.level].append(c)
                 c.freq = 1 << c.level
                 c.expire = rearm
                 if c.level > 0:
@@ -356,58 +375,58 @@ class DmxPolicy(Policy):
     # -- quotas and activity -----------------------------------------------
 
     def rebalance_quotas(self):
-        live = [ctx for ctx in self.contexts if ctx.alive]
-        if not live:
+        recs = self.contexts.values()
+        if not recs:
             return
         distributable = (self.model.dram_pages - self.reserve
-                         - self.floor_pages * len(live))
+                         - self.floor_pages * len(recs))
         if distributable < 0:
             distributable = 0
-        total = sum(ctx.score for ctx in live)
+        total = sum(rec.score for rec in recs)
         if total <= 0.0:
-            share = distributable // len(live)
-            for ctx in live:
-                ctx.quota = self.floor_pages + share
+            share = distributable // len(recs)
+            for rec in recs:
+                rec.quota = self.floor_pages + share
         else:
-            for ctx in live:
-                ctx.quota = self.floor_pages + int(distributable * ctx.score / total)
+            for rec in recs:
+                rec.quota = self.floor_pages + int(distributable * rec.score / total)
 
     def _close_windows(self, t):
-        for ctx in self.contexts:
-            ctx.score = self.alpha * ctx.window_count + (1 - self.alpha) * ctx.score
-            ctx.window_count = 0
-            if ctx.score < self.dormant_threshold:
-                ctx.low_windows += 1
+        for rec in self.contexts.values():
+            rec.score = self.alpha * rec.window_count + (1 - self.alpha) * rec.score
+            rec.window_count = 0
+            if rec.score < self.dormant_threshold:
+                rec.low_windows += 1
             else:
-                ctx.low_windows = 0
-            if ctx.state == ACTIVE and ctx.low_windows >= self.dormant_windows:
-                ctx.state = DORMANT
-                ctx.hot_set = self._snapshot_hot_set(ctx)
+                rec.low_windows = 0
+            if rec.state == ACTIVE and rec.low_windows >= self.dormant_windows:
+                rec.state = DORMANT
+                rec.hot_set = self._snapshot_hot_set(rec)
 
-    def _snapshot_hot_set(self, ctx):
+    def _snapshot_hot_set(self, rec):
         """Resident runs ranked by (level desc, freq desc), capped at the
         context's current quota. Stored as plain ranges: the cohorts will
         move under us while the context sleeps."""
         ranked = []
         for level in range(self.levels - 1, -1, -1):
-            ranked.extend(sorted(ctx.levels[level], key=lambda c: (-c.freq, c.lo)))
+            ranked.extend(sorted(rec.levels[level], key=lambda c: (-c.freq, c.lo)))
         ranges = []
-        budget = ctx.quota
+        budget = rec.quota
         for c in ranked:
             if budget <= 0:
                 break
-            take = min(budget, c.pages())
+            take = min(budget, c.hi - c.lo)
             ranges.append((c.lo, c.lo + take))
             budget -= take
         return ranges
 
     # -- eviction ----------------------------------------------------------
 
-    def _victims_from(self, ctx, allow, t, dirty_out):
+    def _victims_from(self, rec, allow, t, dirty_out):
         aging = self._aging
-        index = self._victim_index.get(ctx)
+        index = rec.index
         if index is None:
-            index = self._victim_index[ctx] = VictimIndex(ctx.levels, t, aging)
+            index = rec.index = VictimIndex(rec.levels, t, aging)
         else:
             index.catch_up(t)
         heap = index.heap
@@ -428,7 +447,7 @@ class DmxPolicy(Policy):
             if c.io is not None:
                 held.append(entry)          # skipped this time only
                 continue
-            take = min(c.pages(), allow - taken)
+            take = min(c.hi - c.lo, allow - taken)
             piece = self.model.extract(c, c.lo, c.lo + take)
             piece.owner.remove(piece)
             if piece is not c:
@@ -443,9 +462,9 @@ class DmxPolicy(Policy):
                 self._on_evicted(None, (piece,), t)     # out now, no write
         for entry in held:
             heappush(heap, entry)
-        listed = sum(map(_cohorts, ctx.levels))
+        listed = sum(map(_cohorts, rec.levels))
         if len(heap) + len(index.wheel) > INDEX_ENTRIES_PER_RUN * listed + INDEX_SLACK:
-            del self._victim_index[ctx]
+            rec.index = None
         return taken
 
     def _take_victims(self, need, t):
@@ -455,27 +474,27 @@ class DmxPolicy(Policy):
         to the largest residents."""
         dirty = []
         got = 0
-        overs = [ctx for ctx in self.contexts if ctx.resident > ctx.quota]
+        overs = [rec for rec in self.contexts.values() if rec.ctx.resident > rec.quota]
         if overs:
             # the most over quota first; the rest are sorted only if it
             # falls short (taking from it moves no other context's key)
             first = min(overs, key=_over_quota_order)
             got = self._victims_from(
-                first, min(need, first.resident - first.quota), t, dirty)
+                first, min(need, first.ctx.resident - first.quota), t, dirty)
             if got < need and len(overs) > 1:
                 overs.remove(first)
                 overs.sort(key=_over_quota_order)
-                for ctx in overs:
+                for rec in overs:
                     if got >= need:
                         break
-                    allow = min(need - got, ctx.resident - ctx.quota)
-                    got += self._victims_from(ctx, allow, t, dirty)
+                    allow = min(need - got, rec.ctx.resident - rec.quota)
+                    got += self._victims_from(rec, allow, t, dirty)
         if got < need:
-            for ctx in sorted(self.contexts,
-                              key=lambda ctx: (-ctx.resident, str(ctx.cid))):
+            for rec in sorted(self.contexts.values(), key=lambda rec: (
+                    -rec.ctx.resident, str(rec.ctx.cid))):
                 if got >= need:
                     break
-                got += self._victims_from(ctx, need - got, t, dirty)
+                got += self._victims_from(rec, need - got, t, dirty)
         if dirty:
             self.device.submit_background(EVICT, dirty, t, cb=self._on_evicted)
         return got
@@ -483,9 +502,9 @@ class DmxPolicy(Policy):
     def _on_evicted(self, req, landed, t):
         for c in landed:
             if c.prefetched:
-                self.counters["mispredictions"] += c.pages()
+                self.counters["mispredictions"] += c.hi - c.lo
                 c.prefetched = False
-            self.counters["evictions"] += c.pages()
+            self.counters["evictions"] += c.hi - c.lo
 
     def _make_room(self, pages, t):
         self._ensure_frames(pages, t)
@@ -509,45 +528,42 @@ class DmxPolicy(Policy):
 
     # -- dormancy and reactivation -----------------------------------------
 
-    def _plan_reactivation(self, ctx, t):
-        budget = ctx.quota - ctx.resident
+    def _wake(self, rec, t):
+        """Prefetch a dormant context's hot set back, up to its quota."""
+        rec.state = ACTIVATING
+        budget = rec.quota - rec.ctx.resident
         pieces = []
         pages = 0
-        for lo, hi in ctx.hot_set or []:
+        for lo, hi in rec.hot_set or []:
             cur = lo
             while cur < hi and pages < budget:
-                c = self.model.lookup(ctx, cur)
+                c = self.model.lookup(rec.ctx, cur)
                 if c is None:
                     cur += 1
                     continue
                 span = min(c.hi, hi, cur + budget - pages)
                 if c.tier == FLASH and c.io is None:
-                    piece = self.model.extract(c, cur, span)
-                    pieces.append(piece)
-                    pages += piece.pages()
+                    pieces.append(self.model.extract(c, cur, span))
+                    pages += span - cur
                 cur = span
         if pieces:
             self.counters["prefetch_issued"] += pages
             handle = self.device.submit_background(PREFETCH, pieces, t,
                                                    cb=self._on_prefetched)
-            handle.wait(lambda tt, c=ctx: self._finish_activation(c))
+            handle.wait(lambda tt, r=rec: self._finish_activation(r))
         else:
-            self._finish_activation(ctx)
+            self._finish_activation(rec)
 
-    def _finish_activation(self, ctx):
-        if ctx.alive and ctx.state == ACTIVATING:
-            ctx.state = ACTIVE
-            ctx.hot_set = None
-            ctx.low_windows = 0
-
-    def _wake(self, ctx, t):
-        ctx.state = ACTIVATING
-        self._plan_reactivation(ctx, t)
+    def _finish_activation(self, rec):
+        if rec.ctx.alive and rec.state == ACTIVATING:
+            rec.state = ACTIVE
+            rec.hot_set = None
+            rec.low_windows = 0
 
     def _on_prefetched(self, req, landed, t):
         for c in landed:
             c.prefetched = c.prefetched is not HIT_IN_FLIGHT
-            self.counters["prefetch_landed"] += c.pages()
+            self.counters["prefetch_landed"] += c.hi - c.lo
             self._enqueue(c.ctx, c, t)
 
     def _on_landed(self, req, landed, t):
@@ -568,12 +584,13 @@ class DmxPolicy(Policy):
 
     def on_allocate(self, ctx, lo, hi, t):
         n = hi - lo
-        woke = ctx.state == DORMANT
+        rec = self.contexts[ctx]
+        woke = rec.state == DORMANT
         self._ensure_frames(n, t)
         c = self.model.create(ctx, lo, hi, DRAM, dirty=True)
         self._enqueue(ctx, c, t)
-        ctx.window_count += n
+        rec.window_count += n
         if woke:
-            self._wake(ctx, t)
+            self._wake(rec, t)
         self._log(t, ctx, lo, hi, "w")
         return t

@@ -113,7 +113,7 @@ def _chunk(cohorts, batch, extract):
     i = 0
     while i < len(queue):
         c = queue[i]
-        n = c.pages()
+        n = c.hi - c.lo
         room = batch - cur_pages
         if n <= room:
             cur.append(c)
@@ -153,7 +153,7 @@ class Device:
     def submit_demand(self, cohorts, t, write=False, not_before=0, cb=None) -> Handle:
         """Reserve slots now; returns a handle with done_t already known.
         Cohorts transition to INFLIGHT immediately."""
-        pages = sum(c.pages() for c in cohorts)
+        pages = sum(c.hi - c.lo for c in cohorts)
         if pages == 0:
             return Handle(0, 0, done_t=t)
         batch = self.profile.batch_pages
@@ -198,7 +198,7 @@ class Device:
         if klass not in (EVICT, PREFETCH):
             raise SimulationError(f"background class must be evict or prefetch")
         write = klass == EVICT
-        pages = sum(c.pages() for c in cohorts)
+        pages = sum(c.hi - c.lo for c in cohorts)
         if pages == 0:
             return Handle(0, 0, done_t=t)
         batch = self.profile.batch_pages
@@ -236,7 +236,7 @@ class Device:
             live = [c for c in req.cohorts
                     if c.tier == req.src_tier and c.io is req and c.ctx.alive]
             req.cohorts = live
-            req.pages = sum(c.pages() for c in live)
+            req.pages = sum(c.hi - c.lo for c in live)
             if req.pages == 0:
                 q.popleft()
                 self.stats["dropped_requests"] += 1
@@ -255,9 +255,11 @@ class Device:
     def _complete(self, req, t):
         landed = []
         for c in req.cohorts:
-            if c.tier != INFLIGHT or c.io is not req:
-                continue  # context torn down mid-flight
+            if c.io is not req:
+                continue
             c.io = None
+            if c.tier != INFLIGHT:
+                continue  # context torn down mid-flight
             if req.write:
                 self.model.transition(c, FLASH)
                 c.dirty = False

@@ -4,7 +4,8 @@ Pages are tracked in cohorts: maximal contiguous index runs within one
 context whose pages share tier, dirty bit, frequency, queue level and expiry.
 Workloads touch contiguous ranges, so cohorts keep policy structures small;
 semantics are identical to per-page tracking (a single-page access just
-splits a one-page cohort off), which the oracle tests rely on.
+splits a one-page cohort off), which the oracle tests rely on. A Context
+holds no policy state: dmx keeps its own per context (dmx.DmxContext).
 
 A context's page map is keyed by first page, not by page: `Context.pages`
 maps each cohort's first page to the cohort, and `Context.starts` keeps those
@@ -59,9 +60,6 @@ class Cohort:
         self.next = None
         self.owner = None       # PageList currently holding this cohort
         self.prefetched = False
-
-    def pages(self) -> int:
-        return self.hi - self.lo
 
     def __repr__(self):
         return (f"Cohort(ctx={self.ctx.cid}, [{self.lo},{self.hi}), "
@@ -225,18 +223,8 @@ class StartIndex:
         self.insert_at(b, j, keys)
 
 
-ACTIVE = "active"
-DORMANT = "dormant"
-ACTIVATING = "activating"
-
-
 class Context:
-    __slots__ = (
-        "cid", "alive", "pages", "starts", "total", "resident",
-        # predictive-policy state; unused by the baseline
-        "levels", "quota", "score", "window_count", "low_windows", "state",
-        "hot_set",
-    )
+    __slots__ = ("cid", "alive", "pages", "starts", "total", "resident")
 
     def __init__(self, cid):
         self.cid = cid
@@ -245,13 +233,6 @@ class Context:
         self.starts = StartIndex()   # the keys of `pages`, in order
         self.total = 0
         self.resident = 0        # DRAM pages held by this context
-        self.levels = None
-        self.quota = 0
-        self.score = 0.0
-        self.window_count = 0
-        self.low_windows = 0
-        self.state = ACTIVE
-        self.hot_set = None
 
 
 class MemoryModel:
@@ -355,7 +336,7 @@ class MemoryModel:
     # -- tier transitions --------------------------------------------------
 
     def transition(self, c: Cohort, tier: int, direction=None):
-        n = c.pages()
+        n = c.hi - c.lo
         if c.tier == tier and c.dir == direction:
             return
         # leave old tier
@@ -415,15 +396,20 @@ class MemoryModel:
         out.dir, out.prefetched = c.dir, c.prefetched
         pages = ctx.pages
         pages[lo] = out
+        lst = c.owner
         if lo == c.lo:
             c.lo = hi                      # out takes the prefix
             pages[hi] = c
             ctx.starts.add(hi)
-            pieces = [(out, "before")]
+            if lst is not None:
+                lst.insert_before(out, c)
+                lst.page_count -= hi - lo   # moved out of c, not the list
         elif hi == c.hi:
             c.hi = lo                      # out takes the suffix
             ctx.starts.add(lo)
-            pieces = [(out, "after")]
+            if lst is not None:
+                lst.insert_after(out, c)
+                lst.page_count -= hi - lo
         else:
             right = Cohort(ctx, hi, c.hi, c.tier, c.dirty)
             right.freq, right.level, right.expire = c.freq, c.level, c.expire
@@ -431,18 +417,10 @@ class MemoryModel:
             c.hi = lo
             pages[hi] = right
             ctx.starts.add(lo, hi)
-            pieces = [(out, "after"), (right, "after")]
-        if c.owner is not None:
-            lst = c.owner
-            delta = 0
-            for piece, where in pieces:
-                if where == "before":
-                    lst.insert_before(piece, c)
-                else:
-                    lst.insert_after(piece, c)
-                delta += piece.pages()
-            # pages moved out of c but stayed in the same list
-            lst.page_count -= delta
+            if lst is not None:
+                lst.insert_after(out, c)
+                lst.insert_after(right, c)  # c, right, out
+                lst.page_count -= right.hi - lo
         return out
 
     # -- diagnostics -------------------------------------------------------

@@ -64,7 +64,7 @@ class SwapPolicy(Policy):
         freed = 0
         while freed < target:
             c = self.lru.head
-            take = min(c.pages(), target - freed)
+            take = min(c.hi - c.lo, target - freed)
             piece = self.model.extract(c, c.lo, c.lo + take)
             self.lru.remove(piece)
             freed += take

@@ -17,12 +17,10 @@ def build(dram=256, flash=8192, profile="flash", **overrides):
     return sim, model, Device(sim, model, prof)
 
 
-def mq_law_holds(model):
+def mq_law_holds(pol):
     """Every DRAM cohort of a context dmx registered satisfies freq >= 2^level."""
-    for ctx in model.contexts.values():
-        if ctx.levels is None:
-            continue
-        for c in set(ctx.pages.values()):
+    for ctx in pol.contexts:
+        for c in ctx.pages.values():
             if c.tier == 0 and c.freq < (1 << c.level):  # DRAM
                 return False
     return True
@@ -33,8 +31,8 @@ def dmx_wheel_is_exact(pol):
     demote or reset (level > 0 or freq != 1), each once, in the bucket of
     its expiry window."""
     want = {}
-    for ctx in pol.contexts:
-        for plist in ctx.levels:
+    for rec in pol.contexts.values():
+        for plist in rec.levels:
             for c in plist:
                 if c.level > 0 or c.freq != 1:
                     want[id(c)] = -(-c.expire // pol.window_us)

@@ -111,16 +111,18 @@ def test_criterion_08_percentiles_match_the_scan_oracle():
             assert percentile(samples, p) == percentile_oracle(samples, p)
 
 
-def _check_dmx_state(pol):
-    """dmx holds no state for dead contexts, each victim index stays within
-    a constant number of entries per listed run, and the expiry wheel holds
-    each listed run that aging can demote or reset exactly once, in the
-    bucket of its expiry, and nothing else."""
-    assert all(ctx.alive for ctx in pol.contexts)
-    assert all(ctx.alive for ctx in pol._victim_index)
-    for ctx, index in pol._victim_index.items():
-        listed = sum(plist.cohorts for plist in ctx.levels)
-        assert index.size() <= 4 * listed + INDEX_SLACK, (ctx.cid, listed)
+def _check_dmx_state(pol, ctxs):
+    """dmx holds a record for exactly the live contexts it registered, in
+    registration order, and none for dead ones; each victim index stays
+    within a constant number of entries per listed run, and the expiry wheel
+    holds each listed run that aging can demote or reset exactly once, in
+    the bucket of its expiry, and nothing else."""
+    assert list(pol.contexts) == [ctx for ctx, _ in ctxs if ctx.alive]
+    assert all(ctx.alive and rec.ctx is ctx for ctx, rec in pol.contexts.items())
+    for ctx, rec in pol.contexts.items():
+        if rec.index is not None:
+            listed = sum(plist.cohorts for plist in rec.levels)
+            assert rec.index.size() <= 4 * listed + INDEX_SLACK, (ctx.cid, listed)
     assert dmx_wheel_is_exact(pol)
 
 
@@ -166,7 +168,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         t = max(t, sim.now) + 1 + rng.randrange(3000)
         while next_tick <= t:
             if policy_name == "dmx":
-                _check_dmx_state(pol)   # the tick drops every index
+                _check_dmx_state(pol, ctxs)     # the tick drops every index
             pol.tick(max(next_tick, sim.now))
             next_tick += 50_000
         if phase_left == 0:
@@ -180,7 +182,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
             slot = rng.randrange(len(ctxs))
             pol.on_teardown(ctxs[slot][0])
             if policy_name == "dmx":
-                _check_dmx_state(pol)
+                _check_dmx_state(pol, ctxs)
             ctxs.pop(slot)
             spawn(t)
             focus = [0, 1]
@@ -208,16 +210,16 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         if rounds % 5000 == 0:
             sim.drain()
             m.check_full()
-            assert mq_law_holds(m)
             if policy_name == "dmx":
-                live = [c for c in pol.contexts if c.alive]
-                assert all(c.quota >= pol.floor_pages for c in live)
-                assert sum(c.quota for c in live) <= m.dram_pages - pol.reserve
-                _check_dmx_state(pol)
+                assert mq_law_holds(pol)
+                recs = pol.contexts.values()
+                assert all(r.quota >= pol.floor_pages for r in recs)
+                assert sum(r.quota for r in recs) <= m.dram_pages - pol.reserve
+                _check_dmx_state(pol, ctxs)
     sim.drain()
     m.check_full()
     if policy_name == "dmx":
-        _check_dmx_state(pol)
+        _check_dmx_state(pol, ctxs)
     assert events[0] >= target_events, f"starved at {events[0]} events"
     for entry in dev.dispatch_log:
         if entry[1] == PREFETCH:

@@ -9,9 +9,9 @@ from oracles import mix_seed_reference, splitmix64_reference
 from tiersim.config import resolve
 from tiersim.core import (BLOCK, Simulator, SplitMix64, SimulationError, _block,
                           mix_seed)
-from tiersim.dmx import DmxPolicy
+from tiersim.dmx import DORMANT, DmxPolicy
 from tiersim.experiment import run_point, run_trace
-from tiersim.memory import DORMANT, FLASH
+from tiersim.memory import FLASH
 from tiersim.workload import walk_ranges
 
 
@@ -130,8 +130,8 @@ def test_a_point_leaves_no_cyclic_garbage(run_garbage, tmp_path, monkeypatch,
     dormant threshold, dmx contexts also fall dormant and wake."""
     wakes = []
     wake = DmxPolicy._wake
-    monkeypatch.setattr(DmxPolicy, "_wake", lambda self, ctx, t: (
-        wakes.append(t), wake(self, ctx, t))[1])
+    monkeypatch.setattr(DmxPolicy, "_wake", lambda self, rec, t: (
+        wakes.append(t), wake(self, rec, t))[1])
     cfg = resolve(None, {"device": device, "policy": policy,
                          "duration_s": "6", "warmup_s": "1", **extra})
     events = tmp_path / "events.log"
@@ -149,9 +149,10 @@ def test_a_dmx_wake_and_its_prefetch_leave_no_cyclic_garbage(run_garbage):
     pol = DmxPolicy(sim, m, dev)
     ctx = pol.register(m.new_context("sleeper"))
     m.create(ctx, 0, 64, tier=FLASH, dirty=False)
-    ctx.state = DORMANT
-    ctx.hot_set = [(0, 64)]
-    ctx.quota = 200
+    rec = pol.contexts[ctx]
+    rec.state = DORMANT
+    rec.hot_set = [(0, 64)]
+    rec.quota = 200
     ends = []
     sim.schedule(10, "wake", lambda t: walk_ranges(
         pol, ctx, [(0, 1), (1, 2)], t, False, False, ends.append))

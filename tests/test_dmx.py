@@ -3,11 +3,9 @@ import pytest
 from helpers import build, dmx_wheel_is_exact, mq_law_holds
 from oracles import aged_expiry, victim_order_reference
 from tiersim.core import SimulationError, SplitMix64
-from tiersim.memory import (
-    DRAM, FLASH, INFLIGHT, TO_FLASH, ACTIVE, DORMANT, ACTIVATING,
-)
+from tiersim.memory import DRAM, FLASH, INFLIGHT, TO_FLASH
 from tiersim.media import EVICT, PREFETCH
-from tiersim.dmx import INDEX_SLACK, DmxPolicy
+from tiersim.dmx import ACTIVATING, ACTIVE, DORMANT, INDEX_SLACK, DmxPolicy
 from tiersim.workload import walk_ranges
 
 
@@ -17,10 +15,16 @@ def dmx_stack(dram=2048, flash=16384, **kw):
     return sim, m, dev, pol
 
 
+def register(pol, m, cid):
+    """Register a new context with dmx and return dmx's record of it."""
+    return pol.contexts[pol.register(m.new_context(cid))]
+
+
 def assert_quota_law(pol, m):
-    live = [c for c in pol.contexts if c.alive]
-    assert all(c.quota >= pol.floor_pages for c in live)
-    assert sum(c.quota for c in live) <= m.dram_pages - pol.reserve
+    recs = pol.contexts.values()
+    assert all(r.ctx.alive for r in recs)
+    assert all(r.quota >= pol.floor_pages for r in recs)
+    assert sum(r.quota for r in recs) <= m.dram_pages - pol.reserve
 
 
 # -- frequency queues ------------------------------------------------------
@@ -31,8 +35,8 @@ def test_first_touch_lands_in_queue_zero():
     assert pol.on_allocate(ctx, 0, 1, 0) == 0
     c = m.lookup(ctx, 0)
     assert (c.level, c.freq) == (0, 1)
-    assert c.owner is ctx.levels[0]
-    assert ctx.window_count == 1
+    assert c.owner is pol.contexts[ctx].levels[0]
+    assert pol.contexts[ctx].window_count == 1
 
 
 def test_eight_accesses_reach_queue_three():
@@ -44,7 +48,7 @@ def test_eight_accesses_reach_queue_three():
     c = m.lookup(ctx, 0)
     # promotions fired at freq 2, 4 and 8
     assert (c.level, c.freq) == (3, 8)
-    assert c.owner is ctx.levels[3]
+    assert c.owner is pol.contexts[ctx].levels[3]
 
 
 def test_top_queue_caps_promotion():
@@ -69,7 +73,7 @@ def test_idle_pages_demote_one_level_per_lifetime():
     assert c.expire == 300_000
     pol.tick(400_000)
     assert (c.level, c.freq) == (1, 2)
-    assert mq_law_holds(m)
+    assert mq_law_holds(pol)
 
 
 def test_ticks_must_come_in_time_order():
@@ -105,7 +109,7 @@ def test_interior_hit_leaves_the_right_piece_aging():
     assert (right.level, right.freq) == (1, 2)
     pol.tick(400_000)
     assert (right.level, right.freq) == (0, 1)
-    assert mq_law_holds(m)
+    assert mq_law_holds(pol)
 
 
 @pytest.mark.parametrize("lifetime_us", [40_000, 100_000, 250_000])
@@ -147,7 +151,7 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
                 sim.run(t)
             cutoff = t // pol.window_us * pol.window_us
             expect = {}
-            for c in (c for cx, _ in ctxs for c in _listed(cx)):
+            for c in (c for cx, _ in ctxs for c in _listed(pol, cx)):
                 # a stored expiry above the last cutoff was armed since the
                 # last tick, or belongs to a run the wheel keeps current
                 e = (c.expire if c.expire > aging.last_cutoff
@@ -163,7 +167,7 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
             pol.tick(t)
             seen["ticks"] += 1
             for cx, _ in ctxs:
-                for c in _listed(cx):
+                for c in _listed(pol, cx):
                     e = effective(c)
                     assert (c.level, c.freq, e) == expect[c], c
                     assert e == aged_expiry(c.expire, ticks, lifetime_us,
@@ -179,7 +183,7 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
                 sim.drain()
     sim.drain()
     m.check_full()
-    assert mq_law_holds(m)
+    assert mq_law_holds(pol)
     assert all(n > 20 for n in seen.values()), seen
 
 
@@ -197,8 +201,8 @@ def test_aging_log_keeps_one_entry_when_every_tick_merges_the_chains():
 
 def test_quota_split_is_proportional_above_the_floor():
     sim, m, dev, pol = dmx_stack(dram=1000, floor_pages=100, reserve_frac=0.0)
-    a = pol.register(m.new_context("a"))
-    b = pol.register(m.new_context("b"))
+    a = register(pol, m, "a")
+    b = register(pol, m, "b")
     a.score, b.score = 3.0, 1.0
     pol.rebalance_quotas()
     assert (a.quota, b.quota) == (700, 300)
@@ -207,7 +211,7 @@ def test_quota_split_is_proportional_above_the_floor():
 
 def test_lone_context_gets_everything_but_the_reserve():
     sim, m, dev, pol = dmx_stack(dram=1000)
-    a = pol.register(m.new_context("a"))
+    a = register(pol, m, "a")
     a.score = 123.4
     pol.rebalance_quotas()
     assert pol.reserve == 20
@@ -216,18 +220,18 @@ def test_lone_context_gets_everything_but_the_reserve():
 
 def test_zero_scores_split_the_surplus_equally():
     sim, m, dev, pol = dmx_stack(dram=1000, floor_pages=100, reserve_frac=0.0)
-    ctxs = [pol.register(m.new_context(f"c{i}")) for i in range(4)]
+    recs = [register(pol, m, f"c{i}") for i in range(4)]
     pol.rebalance_quotas()
-    assert [c.quota for c in ctxs] == [250, 250, 250, 250]
+    assert [r.quota for r in recs] == [250, 250, 250, 250]
 
 
 def test_quota_law_under_arbitrary_scores():
     sim, m, dev, pol = dmx_stack(dram=4096)
     rng = SplitMix64(5)
-    ctxs = [pol.register(m.new_context(f"c{i}")) for i in range(9)]
+    recs = [register(pol, m, f"c{i}") for i in range(9)]
     for trial in range(50):
-        for c in ctxs:
-            c.score = rng.random() * rng.randrange(1000)
+        for r in recs:
+            r.score = rng.random() * rng.randrange(1000)
         pol.rebalance_quotas()
         assert_quota_law(pol, m)
 
@@ -236,31 +240,31 @@ def test_quota_law_under_arbitrary_scores():
 
 def test_quiet_windows_put_a_context_to_sleep():
     sim, m, dev, pol = dmx_stack(dormant_windows=3)
-    ctx = pol.register(m.new_context("a"))
-    pol.on_allocate(ctx, 0, 4, 0)
+    rec = register(pol, m, "a")
+    pol.on_allocate(rec.ctx, 0, 4, 0)
     pol.tick(100_000)                     # score 1.2: busy enough
-    assert ctx.state == ACTIVE and ctx.low_windows == 0
+    assert rec.state == ACTIVE and rec.low_windows == 0
     pol.tick(200_000)                     # decays 0.84
     pol.tick(300_000)                     # 0.588
-    assert ctx.state == ACTIVE and ctx.low_windows == 2
+    assert rec.state == ACTIVE and rec.low_windows == 2
     pol.tick(400_000)                     # 0.41: third quiet window
-    assert ctx.state == DORMANT
-    assert ctx.hot_set == [(0, 4)]
+    assert rec.state == DORMANT
+    assert rec.hot_set == [(0, 4)]
 
 
 def test_one_busy_window_resets_the_dormancy_count():
     sim, m, dev, pol = dmx_stack(dormant_windows=3, alpha=1.0)
-    ctx = pol.register(m.new_context("a"))
-    pol.on_allocate(ctx, 0, 4, 0)
+    rec = register(pol, m, "a")
+    pol.on_allocate(rec.ctx, 0, 4, 0)
     pol.tick(100_000)                     # allocation made this window busy
     pol.tick(200_000)
     pol.tick(300_000)
-    assert ctx.state == ACTIVE and ctx.low_windows == 2
-    pol.access_range(ctx, 0, 2, 350_000)
+    assert rec.state == ACTIVE and rec.low_windows == 2
+    pol.access_range(rec.ctx, 0, 2, 350_000)
     pol.tick(400_000)                     # score 2.0 clears the streak
-    assert ctx.low_windows == 0
+    assert rec.low_windows == 0
     pol.tick(500_000)
-    assert ctx.state == ACTIVE and ctx.low_windows == 1
+    assert rec.state == ACTIVE and rec.low_windows == 1
 
 
 def test_hot_set_ranks_by_level_then_freq_capped_at_quota():
@@ -272,41 +276,44 @@ def test_hot_set_ranks_by_level_then_freq_capped_at_quota():
     pol.on_allocate(ctx, 4, 6, 5)
     pol.access_range(ctx, 4, 6, 6)            # freq 2, level 1
     pol.on_allocate(ctx, 6, 8, 7)             # freq 1, level 0
-    ctx.quota = 6
-    assert pol._snapshot_hot_set(ctx) == [(0, 4), (4, 6)]
+    rec = pol.contexts[ctx]
+    rec.quota = 6
+    assert pol._snapshot_hot_set(rec) == [(0, 4), (4, 6)]
 
 
 # -- reactivation ----------------------------------------------------------
 
 def _dormant_ctx(pol, m, hot_pages, resident=0, quota=200):
+    """A dormant context and dmx's record of it."""
     ctx = pol.register(m.new_context("sleeper"))
     if resident:
         c = m.create(ctx, 0, resident)
         pol._enqueue(ctx, c, 0)
     m.create(ctx, resident, hot_pages, tier=FLASH, dirty=False)
-    ctx.state = DORMANT
-    ctx.hot_set = [(0, hot_pages)]
-    ctx.quota = quota
-    return ctx
+    rec = pol.contexts[ctx]
+    rec.state = DORMANT
+    rec.hot_set = [(0, hot_pages)]
+    rec.quota = quota
+    return ctx, rec
 
 
 def test_reactivation_prefetches_only_the_missing_pages():
     sim, m, dev, pol = dmx_stack()
-    ctx = _dormant_ctx(pol, m, hot_pages=64, resident=10)
-    pol._wake(ctx, 0)
-    assert ctx.state == ACTIVATING
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=64, resident=10)
+    pol._wake(rec, 0)
+    assert rec.state == ACTIVATING
     assert pol.counters["prefetch_issued"] == 54
     sim.drain()
     assert pol.counters["prefetch_landed"] == 54
-    assert ctx.state == ACTIVE and ctx.hot_set is None
+    assert rec.state == ACTIVE and rec.hot_set is None
     assert ctx.resident == 64
     assert dev.stats["prefetch_ios"] == 1 and dev.stats["pages_read"] == 54
 
 
 def test_reactivation_respects_quota_headroom():
     sim, m, dev, pol = dmx_stack()
-    ctx = _dormant_ctx(pol, m, hot_pages=64, resident=10, quota=30)
-    pol._wake(ctx, 0)
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=64, resident=10, quota=30)
+    pol._wake(rec, 0)
     assert pol.counters["prefetch_issued"] == 20   # top-ranked 20 only
     sim.drain()
     assert ctx.resident == 30
@@ -316,18 +323,19 @@ def test_fully_resident_hot_set_skips_the_device():
     sim, m, dev, pol = dmx_stack()
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 8, 0)
-    ctx.state = DORMANT
-    ctx.hot_set = [(0, 8)]
-    pol._wake(ctx, 10)
-    assert ctx.state == ACTIVE and ctx.hot_set is None
+    rec = pol.contexts[ctx]
+    rec.state = DORMANT
+    rec.hot_set = [(0, 8)]
+    pol._wake(rec, 10)
+    assert rec.state == ACTIVE and rec.hot_set is None
     assert pol.counters["prefetch_issued"] == 0
     assert sim.drain() == 0
 
 
 def test_fault_during_inflight_prefetch_shares_the_read():
     sim, m, dev, pol = dmx_stack()
-    ctx = _dormant_ctx(pol, m, hot_pages=8)
-    pol._wake(ctx, 0)                      # 8-page read lands at 111
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=8)
+    pol._wake(rec, 0)                      # 8-page read lands at 111
     done_at, _, _ = pol.access_range(ctx, 0, 1, 81)
     assert done_at == 111                  # 30us residual stall, no new IO
     again, _, _ = pol.access_range(ctx, 1, 2, 90)
@@ -337,21 +345,21 @@ def test_fault_during_inflight_prefetch_shares_the_read():
     assert pol.counters["demand_faults"] == 0
     sim.drain()
     assert dev.stats["demand_ios"] == 0 and dev.stats["prefetch_ios"] == 1
-    assert ctx.state == ACTIVE
+    assert rec.state == ACTIVE
 
 
 def test_first_touch_of_sleeper_pairs_demand_with_prefetch():
     sim, m, dev, pol = dmx_stack()
-    ctx = _dormant_ctx(pol, m, hot_pages=64)
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=64)
     done_at, _, _ = pol.access_range(ctx, 0, 1, 0)
     assert done_at == 84                   # only the touched page stalls
-    assert ctx.state == ACTIVATING
+    assert rec.state == ACTIVATING
     assert pol.counters["demand_faults"] == 1
     assert pol.counters["prefetch_issued"] == 63
     sim.drain()
     assert dev.stats["demand_ios"] == 1 and dev.stats["prefetch_ios"] == 1
     assert dev.stats["pages_read"] == 64
-    assert ctx.state == ACTIVE and ctx.resident == 64
+    assert rec.state == ACTIVE and ctx.resident == 64
     m.check_full()
 
 
@@ -360,32 +368,32 @@ def test_sleeper_wakes_after_the_first_range_of_a_walk():
     plans its reactivation before the second range is touched: that range
     then shares the prefetch read instead of faulting on its own."""
     sim, m, dev, pol = dmx_stack()
-    ctx = _dormant_ctx(pol, m, hot_pages=64)
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=64)
     woke = []
     wake = pol._wake
 
-    def spy(ctx, t):
+    def spy(rec, t):
         woke.append((t, m.lookup(ctx, 0).tier, m.lookup(ctx, 1).tier))
-        wake(ctx, t)
+        wake(rec, t)
 
     pol._wake = spy
-    before = ctx.window_count
+    before = rec.window_count
     ends = []
     walk_ranges(pol, ctx, [(0, 1), (1, 2)], 0, batch=False, write=False,
                 done=ends.append)
     # woken at the walk's start time, with page 0's read in flight and
     # page 1 not yet touched
     assert woke == [(0, INFLIGHT, FLASH)]
-    assert ctx.state == ACTIVATING
+    assert rec.state == ACTIVATING
     assert pol.counters["demand_faults"] == 1
     assert pol.counters["prefetch_issued"] == 63
     assert pol.counters["prefetch_hits"] == 1
-    assert ctx.window_count == before + 2
+    assert rec.window_count == before + 2
     assert len(ends) == 1
     sim.drain()
     assert len(woke) == 1 and len(ends) == 1
     assert dev.stats["demand_ios"] == 1 and dev.stats["prefetch_ios"] == 1
-    assert ctx.state == ACTIVE and ctx.resident == 64
+    assert rec.state == ACTIVE and ctx.resident == 64
     m.check_full()
 
 
@@ -410,7 +418,8 @@ def test_eviction_drains_the_most_over_quota_context_first():
     b = pol.register(m.new_context("b"))
     pol.on_allocate(a, 0, 150, 0)
     pol.on_allocate(b, 0, 80, 0)
-    a.quota, b.quota = 100, 200            # a is 50 pages over
+    pol.contexts[a].quota = 100            # a is 50 pages over
+    pol.contexts[b].quota = 200
     pol._take_victims(30, 0)
     assert a.resident == 120 and b.resident == 80
     sim.drain()
@@ -426,7 +435,7 @@ def test_a_short_first_victim_context_hands_over_in_quota_order():
     for cid, ctx in ctxs.items():
         pol.on_allocate(ctx, 0, 100, 0)
     for cid, ctx in ctxs.items():
-        ctx.quota = 100 - over[cid]
+        pol.contexts[ctx].quota = 100 - over[cid]
     assert pol._take_victims(55, 0) == 55
     assert {cid: 100 - ctx.resident for cid, ctx in ctxs.items()} == {
         "b": 30, "a": 20, "c": 5, "d": 0}
@@ -446,7 +455,7 @@ def test_victims_leave_lowest_level_first_expired_before_live():
     pol.access_range(ctx, 20, 21, 1)
     pol.access_range(ctx, 20, 21, 2)           # freq 3, level 1
     victims = []
-    pol._victims_from(ctx, 4, 150_000, victims)
+    pol._victims_from(pol.contexts[ctx], 4, 150_000, victims)
     assert [v.lo for v in victims] == [5, 0, 10, 20]
 
 
@@ -455,7 +464,7 @@ def test_clean_victims_drop_without_io():
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 8, 0)
     m.lookup(ctx, 0).dirty = False
-    ctx.quota = 0
+    pol.contexts[ctx].quota = 0
     free_before = m.free_frames()
     pol._take_victims(8, 0)
     assert m.free_frames() == free_before + 8
@@ -468,7 +477,7 @@ def test_touching_a_buffered_victim_waits_for_the_write():
     sim, m, dev, pol = dmx_stack()
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 8, 0)
-    ctx.quota = 0
+    pol.contexts[ctx].quota = 0
     pol._take_victims(8, 0)
     c = m.lookup(ctx, 3)
     assert c.tier == INFLIGHT and c.dir == TO_FLASH
@@ -495,8 +504,8 @@ def test_emergency_reclaim_outlasts_a_prefetch_taking_the_freed_frames():
     sim, m, dev, pol = dmx_stack(dram=64, flash=1024, floor_pages=8)
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 64, 0)             # DRAM full of dirty pages
-    sleeper = _dormant_ctx(pol, m, hot_pages=4)
-    pol._wake(sleeper, 0)                      # its prefetch waits for frames
+    sleeper, rec = _dormant_ctx(pol, m, hot_pages=4)
+    pol._wake(rec, 0)                          # its prefetch waits for frames
     assert dev.queued_requests(PREFETCH) == 1
     m.create(ctx, 64, 68, tier=FLASH, dirty=False)
     # the victims' write-back dispatches the waiting prefetch, which takes
@@ -507,7 +516,7 @@ def test_emergency_reclaim_outlasts_a_prefetch_taking_the_freed_frames():
     assert done_at > 10
     sim.drain()
     assert [m.lookup(ctx, i).tier for i in (64, 67)] == [DRAM, DRAM]
-    assert sleeper.resident == 4 and sleeper.state == ACTIVE
+    assert sleeper.resident == 4 and rec.state == ACTIVE
     assert pol.counters["evictions"] == 8
     m.check_full()
 
@@ -516,13 +525,14 @@ def test_emergency_reclaim_outlasts_a_prefetch_taking_the_freed_frames():
 
 def test_prefetch_accounting_reconciles_after_teardown():
     sim, m, dev, pol = dmx_stack()
-    ctx = _dormant_ctx(pol, m, hot_pages=8)
-    pol._wake(ctx, 0)
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=8)
+    pol._wake(rec, 0)
     sim.drain()
     assert pol.counters["prefetch_landed"] == 8
     pol.access_range(ctx, 0, 3, 200)
     assert pol.counters["prefetch_hits"] == 3
     pol.on_teardown(ctx)
+    assert ctx not in pol.contexts and not pol._expiry
     assert pol.counters["mispredictions"] == 5
     c = pol.counters
     assert c["prefetch_hits"] + c["mispredictions"] == c["prefetch_issued"]
@@ -530,10 +540,10 @@ def test_prefetch_accounting_reconciles_after_teardown():
 
 def test_evicting_an_untouched_prefetched_page_is_a_misprediction():
     sim, m, dev, pol = dmx_stack()
-    ctx = _dormant_ctx(pol, m, hot_pages=8)
-    pol._wake(ctx, 0)
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=8)
+    pol._wake(rec, 0)
     sim.drain()
-    ctx.quota = 0
+    rec.quota = 0
     pol._take_victims(8, 500)
     assert pol.counters["mispredictions"] == 8
     assert pol.counters["evictions"] == 8
@@ -564,11 +574,11 @@ def test_mq_and_quota_laws_hold_under_mixed_traffic():
         if round_ % 25 == 24:
             pol.tick(max(t, sim.now))
             sim.drain()
-            assert mq_law_holds(m)
+            assert mq_law_holds(pol)
             assert_quota_law(pol, m)
             m.check_full()
     sim.drain()
-    assert mq_law_holds(m)
+    assert mq_law_holds(pol)
     m.check_full()
 
 
@@ -577,8 +587,8 @@ def test_mq_and_quota_laws_hold_under_mixed_traffic():
 HELD_IO = object()      # stands in for a pending request on a DRAM run
 
 
-def _listed(ctx):
-    return [c for plist in ctx.levels for c in plist]
+def _listed(pol, ctx):
+    return [c for plist in pol.contexts[ctx].levels for c in plist]
 
 
 def test_victim_index_matches_the_reference_order():
@@ -596,16 +606,17 @@ def test_victim_index_matches_the_reference_order():
     def expiry(c):
         return aged_expiry(c.expire, ticks, pol.lifetime_us, pol.window_us)
 
-    def checked(ctx, allow, t, dirty_out):
+    def checked(rec, allow, t, dirty_out):
+        ctx = rec.ctx
         expect, left = [], allow
-        for c in victim_order_reference(ctx.levels, t, expiry):
+        for c in victim_order_reference(rec.levels, t, expiry):
             if left == 0:
                 break
-            take = min(c.pages(), left)
+            take = min(c.hi - c.lo, left)
             expect.append((c.lo, c.lo + take))
-            seen["partial"] += take < c.pages()
+            seen["partial"] += take < c.hi - c.lo
             left -= take
-        listed = _listed(ctx)
+        listed = _listed(pol, ctx)
         seen["calls"] += 1
         seen["expire_is_t"] += any(expiry(c) == t for c in listed)
         seen["io_held"] += any(c.io is not None for c in listed)
@@ -616,12 +627,12 @@ def test_victim_index_matches_the_reference_order():
         extract = m.extract
         m.extract = lambda c, lo, hi: pieces.append((lo, hi)) or extract(c, lo, hi)
         try:
-            got = select(ctx, allow, t, dirty_out)
+            got = select(rec, allow, t, dirty_out)
         finally:
             del m.extract
         assert pieces == expect
         assert got == allow - left
-        pages_after = {i for c in _listed(ctx) for i in range(c.lo, c.hi)}
+        pages_after = {i for c in _listed(pol, ctx) for i in range(c.lo, c.hi)}
         assert pages_before - pages_after == {
             i for lo, hi in expect for i in range(lo, hi)}
         return got
@@ -647,18 +658,18 @@ def test_victim_index_matches_the_reference_order():
         elif roll < 24:
             # a direct selection at a run's own expiry, which may lie
             # before or after the last selection's time
-            runs = _listed(ctx)
+            runs = _listed(pol, ctx)
             when = expiry(runs[rng.randrange(len(runs))]) if runs else t
             if rng.randrange(3) == 0:
                 when = max(0, t - rng.randrange(150_000))
             out = []
-            pol._victims_from(ctx, 1 + rng.randrange(12), when, out)
+            pol._victims_from(pol.contexts[ctx], 1 + rng.randrange(12), when, out)
             if out:
                 dev.submit_background(EVICT, out, t, cb=pol._on_evicted)
         elif roll < 28:
             if held is not None and held.io is HELD_IO:
                 held.io = None
-            runs = _listed(ctx)
+            runs = _listed(pol, ctx)
             held = runs[rng.randrange(len(runs))] if runs else None
             if held is not None:
                 held.io = HELD_IO
@@ -675,7 +686,7 @@ def test_victim_index_matches_the_reference_order():
         if step % 200 == 199:
             sim.drain()
             m.check_full()
-            assert mq_law_holds(m)
+            assert mq_law_holds(pol)
             assert dmx_wheel_is_exact(pol)
     if held is not None and held.io is HELD_IO:
         held.io = None
@@ -702,11 +713,11 @@ def test_victim_index_stays_bounded_without_ticks():
             page = rng.randrange(64) if rng.randrange(4) else rng.randrange(512)
             if pol.access_range(ctx, page, page + 1, t)[1] is not None:
                 sim.drain()
-        index = pol._victim_index.get(ctx)
+        index = pol.contexts[ctx].index
         if index is not None:
             rebuilds += index is not last
             last = index
-            listed = sum(plist.cohorts for plist in ctx.levels)
+            listed = sum(plist.cohorts for plist in pol.contexts[ctx].levels)
             assert index.size() <= 4 * listed + INDEX_SLACK
         if step % 10 == 0:
             assert dmx_wheel_is_exact(pol)

@@ -168,7 +168,7 @@ def run_seeded_walks(policy_cls, seed=3, walks=400, max_pages=12):
     sim.drain()
     m.check_full()
     lists = [pol.lru] if policy_cls is SwapPolicy else [
-        plist for ctx in ctxs for plist in ctx.levels]
+        plist for ctx in ctxs for plist in pol.contexts[ctx].levels]
     state = [sorted(ends), sorted(pol.snapshot_counters().items())]
     for ctx in ctxs:
         state.append(sorted((c.lo, c.hi, c.tier, c.dirty, c.freq, c.level,

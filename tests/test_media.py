@@ -185,6 +185,7 @@ def test_teardown_midflight_lands_nothing():
     m.teardown(ctx)
     sim.drain()
     assert seen == [[]]
+    assert c.io is None                  # the dead run lets go of its read
     assert dev.stats["demand_ios"] == 1  # the bus time was still spent
     assert m.census() == {"dram": 0, "flash": 0, "inflight": 0, "total": 0}
     m.check_full()

@@ -99,7 +99,7 @@ def test_extract_prefix_suffix_interior_and_identity():
     c = m.create(ctx, 0, 100)
     # full range: same object back, nothing split
     assert m.extract(c, 0, 100) is c
-    assert sum(c.pages() for c in ctx.pages.values()) == 100
+    assert sum(c.hi - c.lo for c in ctx.pages.values()) == 100
 
     pre = m.extract(c, 0, 10)
     assert (pre.lo, pre.hi) == (0, 10) and (c.lo, c.hi) == (10, 100)
@@ -363,7 +363,7 @@ def test_page_map_matches_a_per_page_reference(seed):
     audit_all()
     assert collisions > 50
     assert len(ctx.starts.blocks) > 2
-    assert sum(c.pages() for c in ctx.pages.values()) == len(ref) == m.total
+    assert sum(c.hi - c.lo for c in ctx.pages.values()) == len(ref) == m.total
 
 
 def _split_map():

@@ -106,11 +106,12 @@ def test_dmx_window_counts_each_walked_page_once():
     pol.on_allocate(ctx, 0, 8, 0)
     m.create(ctx, 8, 12, tier=FLASH, dirty=False)
     pol.access_range(ctx, 0, 4, 1)                  # [0, 4) climbs a level
-    ctx.quota = 4
+    rec = pol.contexts[ctx]
+    rec.quota = 4
     pol._take_victims(4, 1)                         # so [4, 8) drains
     assert m.lookup(ctx, 4).tier == INFLIGHT and m.lookup(ctx, 4).dir == TO_FLASH
     pol.access_range(ctx, 8, 12, 1, batch=True)     # a read in flight
-    before = ctx.window_count
+    before = rec.window_count
     ends = []
 
     # shares the read, hits [0, 4), waits at page 4, then faults [4, 8)
@@ -118,11 +119,11 @@ def test_dmx_window_counts_each_walked_page_once():
                 done=ends.append)
     assert not ends
     assert pol.counters["demand_evict_waits"] == 1
-    assert ctx.window_count == before + 4 + 4
+    assert rec.window_count == before + 4 + 4
     sim.drain()
     assert len(ends) == 1
     assert pol.counters["demand_evict_waits"] == 1
-    assert ctx.window_count == before + 12
+    assert rec.window_count == before + 12
     assert all(m.lookup(ctx, i).tier == DRAM for i in range(12))
     m.check_full()
 
