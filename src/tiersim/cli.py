@@ -13,22 +13,11 @@ import os
 import sys
 
 from .acceptance import evaluate
-from .config import ConfigError, parse_config_file, resolve
+from .config import DEFAULTS, ConfigError, parse_config_file, resolve
 from .core import SimulationError
 from .experiment import run_sweep, run_trace
-from .report import read_sweep_csv
+from .report import _fmt, read_sweep_csv
 from .workload import TraceError
-
-# flag dest -> config key (values stay raw strings; resolve() parses them)
-_FLAG_KEYS = {
-    "policy": "policy",
-    "device": "device",
-    "containers": "containers",
-    "duration": "duration_s",
-    "warmup": "warmup_s",
-    "seed": "seed",
-    "scale": "scale",
-}
 
 
 def _build_parser():
@@ -41,8 +30,10 @@ def _build_parser():
     p.add_argument("--device", choices=["flash", "disk"])
     p.add_argument("--containers", metavar="LIST",
                    help="comma list or start:stop[:step], e.g. 1:49:2")
-    p.add_argument("--duration", metavar="S", help="simulated seconds per point")
-    p.add_argument("--warmup", metavar="S", help="seconds excluded from stats")
+    p.add_argument("--duration", metavar="S", dest="duration_s",
+                   help="simulated seconds per point")
+    p.add_argument("--warmup", metavar="S", dest="warmup_s",
+                   help="seconds excluded from stats")
     p.add_argument("--seed", metavar="N")
     p.add_argument("--scale", metavar="SIGMA",
                    help="footprint divisor for the noise image catalog")
@@ -87,9 +78,10 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        flag_values = {key: getattr(args, dest)
-                       for dest, key in _FLAG_KEYS.items()
-                       if getattr(args, dest) is not None}
+        # a flag whose dest is a config key sets it; values stay raw
+        # strings, which resolve() parses
+        flag_values = {key: val for key, val in vars(args).items()
+                       if key in DEFAULTS and val is not None}
         cfg = resolve(file_values, flag_values)
         if args.trace and cfg["policy"] == "both":
             raise ConfigError("--trace replays one policy; pick swap or dmx")
@@ -186,20 +178,10 @@ def _compare(argv):
         pr = ratio(b.p99_us, a.p99_us)
         row = [a.policy, a.device, a.containers, a.tps, b.tps, tr,
                a.p99_us, b.p99_us, pr]
-        cells = []
-        csv_cells = []
-        for v in row:
-            if v is None:
-                cells.append("-")
-                csv_cells.append("")
-            elif isinstance(v, float):
-                cells.append(f"{v:.3f}")
-                csv_cells.append(repr(v))
-            else:
-                cells.append(str(v))
-                csv_cells.append(str(v))
+        cells = ["-" if v is None else f"{v:.3f}" if isinstance(v, float)
+                 else str(v) for v in row]
         print(" ".join(c.rjust(10) for c in cells))
-        lines.append(",".join(csv_cells))
+        lines.append(",".join(_fmt(v) for v in row))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "compare.csv")
     with open(out_path, "w") as fh:

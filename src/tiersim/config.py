@@ -2,6 +2,11 @@
 keys, a typed defaults registry, and strict unknown-key rejection.
 Precedence is flags > file > defaults. The resolved configuration can be
 rendered back out; re-running from that echo reproduces the run.
+
+A dotted key `section.param` sets the constructor parameter `param` of the
+part its section configures (experiment.py builds each part from its
+section), so DEFAULTS is the one place a setting is named. Undotted keys
+shape the sweep, and the command-line flag of each has its key as dest.
 """
 
 import math
@@ -140,14 +145,16 @@ def validate(cfg):
                 "noise.think_us", "critical.base_service_us",
                 "critical.hot_records", "critical.hot_record_pages",
                 "critical.draws_per_txn", "dmx.levels", "dmx.window_us",
-                "dmx.lifetime_us"):
-        if cfg[key] <= 0:
+                "dmx.lifetime_us", "swap.reclaim_batch", "device.bandwidth_bps",
+                "device.batch_pages", "device.max_inflight"):
+        if cfg[key] is not None and cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    for key in ("noise.clients", "swap.fault_overhead_us", "swap.reclaim_batch",
+    for key in ("noise.clients", "swap.fault_overhead_us",
                 "critical.cold_records", "critical.cold_record_pages",
                 "dmx.floor_pages", "dmx.dormant_windows",
-                "dmx.fault_overhead_us"):
-        if cfg[key] < 0:
+                "dmx.fault_overhead_us", "device.read_lat_us",
+                "device.write_lat_us"):
+        if cfg[key] is not None and cfg[key] < 0:
             raise ConfigError(f"{key} must be non-negative")
     if not _hot_weights_finite(cfg["critical.hot_records"], cfg["critical.skew"]):
         raise ConfigError(

@@ -238,11 +238,11 @@ class VictimIndex:
 class DmxPolicy(Policy):
     name = "dmx"
 
-    def __init__(self, sim, model, device, levels=8, lifetime_us=100_000,
+    def __init__(self, model, device, levels=8, lifetime_us=100_000,
                  window_us=100_000, alpha=0.3, dormant_threshold=1.0,
                  dormant_windows=5, floor_pages=64, reserve_frac=0.02,
                  fault_overhead_us=0):
-        super().__init__(sim, model, device, fault_overhead_us)
+        super().__init__(model, device, fault_overhead_us)
         self.levels = levels
         self.lifetime_us = lifetime_us
         self.window_us = window_us

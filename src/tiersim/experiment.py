@@ -1,7 +1,13 @@
-"""Run assembly: wire the kernel, memory model, device, policy and
+"""Run assembly: build the kernel, memory model, device, policy and
 workloads for one sweep point; execute point lists serially or across
 worker processes; write the merged CSV, charts, and a resolved-config echo
 that reproduces the run.
+
+Each part is built from its config section: a key `section.param` sets the
+constructor parameter `param` of the part that section configures (`mem`
+the memory model, `device` the device profile, `swap` and `dmx` the
+policies, `critical` and `noise` the workloads). A new parameter needs its
+DEFAULTS row in config.py and its constructor parameter, nothing here.
 
 Each point's RNG seed mixes the global seed with the container count, and
 container identities are constructed in a fixed order, so growing the sweep
@@ -25,35 +31,32 @@ from .workload import NoiseSystem, CriticalService, TraceDriver, load_trace
 from .report import write_sweep_csv, write_charts
 from . import config as configmod
 
-_PROFILE_KEYS = ("read_lat_us", "write_lat_us", "bandwidth_bps",
-                 "batch_pages", "max_inflight")
+POLICIES = {"swap": SwapPolicy, "dmx": DmxPolicy}
 
 
-def build_profile(cfg, device_name):
-    overrides = {k: cfg[f"device.{k}"] for k in _PROFILE_KEYS
-                 if cfg.get(f"device.{k}") is not None}
-    return replace(PROFILES[device_name], **overrides)
+def _section(cfg, name):
+    """The set (non-None) values of the keys `name.<param>`, by param."""
+    prefix = name + "."
+    return {key[len(prefix):]: val for key, val in cfg.items()
+            if key.startswith(prefix) and val is not None}
 
 
-def make_policy(name, cfg, sim, model, device):
-    if name == "swap":
-        return SwapPolicy(
-            sim, model, device,
-            fault_overhead_us=cfg["swap.fault_overhead_us"],
-            reclaim_batch=cfg["swap.reclaim_batch"])
-    if name == "dmx":
-        return DmxPolicy(
-            sim, model, device,
-            levels=cfg["dmx.levels"],
-            lifetime_us=cfg["dmx.lifetime_us"],
-            window_us=cfg["dmx.window_us"],
-            alpha=cfg["dmx.alpha"],
-            dormant_threshold=cfg["dmx.dormant_threshold"],
-            dormant_windows=cfg["dmx.dormant_windows"],
-            floor_pages=cfg["dmx.floor_pages"],
-            reserve_frac=cfg["dmx.reserve_frac"],
-            fault_overhead_us=cfg["dmx.fault_overhead_us"])
-    raise SimulationError(f"unknown policy {name!r}")
+def make_policy(name, cfg, model, device):
+    if name not in POLICIES:
+        raise SimulationError(f"unknown policy {name!r}")
+    return POLICIES[name](model, device, **_section(cfg, name))
+
+
+def _stack(cfg, policy_name, device_name, events_path):
+    """Build the simulator, memory model, device and policy of one run;
+    returns (sim, model, policy), and the device is policy.device."""
+    sim = Simulator()
+    if events_path is not None:
+        sim.enable_event_log()
+    model = MemoryModel(**_section(cfg, "mem"))
+    profile = replace(PROFILES[device_name], **_section(cfg, "device"))
+    device = Device(sim, model, profile)
+    return sim, model, make_policy(policy_name, cfg, model, device)
 
 
 def run_point(cfg, policy_name, device_name, containers,
@@ -61,32 +64,15 @@ def run_point(cfg, policy_name, device_name, containers,
     run_seed = mix_seed(cfg["seed"], containers)
     duration_us = round(cfg["duration_s"] * 1_000_000)
     warmup_us = round(cfg["warmup_s"] * 1_000_000)
-    sim = Simulator()
-    if events_path is not None:
-        sim.enable_event_log()
-    model = MemoryModel(cfg["mem.dram_pages"], cfg["mem.flash_pages"])
-    device = Device(sim, model, build_profile(cfg, device_name))
-    policy = make_policy(policy_name, cfg, sim, model, device)
+    sim, model, policy = _stack(cfg, policy_name, device_name, events_path)
     if accesses_path is not None:
         policy.access_log = []
     collector = Collector(warmup_us, duration_us)
     rng = SplitMix64(run_seed)
-    critical = CriticalService(
-        sim, model, policy, collector, rng.fork(1),
-        threads=cfg["critical.threads"],
-        base_service_us=cfg["critical.base_service_us"],
-        hot_records=cfg["critical.hot_records"],
-        hot_record_pages=cfg["critical.hot_record_pages"],
-        cold_records=cfg["critical.cold_records"],
-        cold_record_pages=cfg["critical.cold_record_pages"],
-        cold_frac=cfg["critical.cold_frac"],
-        skew=cfg["critical.skew"],
-        draws_per_txn=cfg["critical.draws_per_txn"])
-    noise = NoiseSystem(
-        sim, model, policy, rng.fork(2), containers,
-        clients=cfg["noise.clients"],
-        think_us=cfg["noise.think_us"],
-        scale=cfg["scale"])
+    critical = CriticalService(sim, model, policy, collector, rng.fork(1),
+                               **_section(cfg, "critical"))
+    noise = NoiseSystem(sim, model, policy, rng.fork(2), containers,
+                        scale=cfg["scale"], **_section(cfg, "noise"))
     critical.start()
     noise.start()
     window = cfg["dmx.window_us"]
@@ -150,12 +136,7 @@ def run_sweep(cfg, out_dir, jobs=1, dump_events=False, dump_accesses=False):
 
 def run_trace(cfg, trace_path, out_dir, events_path=None):
     records = load_trace(trace_path)
-    sim = Simulator()
-    if events_path is not None:
-        sim.enable_event_log()
-    model = MemoryModel(cfg["mem.dram_pages"], cfg["mem.flash_pages"])
-    device = Device(sim, model, build_profile(cfg, cfg["device"]))
-    policy = make_policy(cfg["policy"], cfg, sim, model, device)
+    sim, model, policy = _stack(cfg, cfg["policy"], cfg["device"], events_path)
     driver = TraceDriver(sim, model, policy, records)
     driver.start()
     last_t = records[-1][0] if records else 0

@@ -90,16 +90,15 @@ class Handle:
 
 class Request:
     __slots__ = ("klass", "write", "cohorts", "pages", "handle", "cb",
-                 "submit_t", "done_t", "src_tier")
+                 "done_t", "src_tier")
 
-    def __init__(self, klass, write, cohorts, pages, handle, cb, submit_t, src_tier):
+    def __init__(self, klass, write, cohorts, pages, handle, cb, src_tier):
         self.klass = klass
         self.write = write
         self.cohorts = cohorts
         self.pages = pages
         self.handle = handle
         self.cb = cb
-        self.submit_t = submit_t
         self.done_t = None
         self.src_tier = src_tier
 
@@ -162,7 +161,7 @@ class Device:
         handle = Handle(pages, len(chunks))
         last_done = 0   # of this submission: other slots may hold later IO
         for chunk, n in chunks:
-            req = Request(DEMAND, write, chunk, n, handle, cb, t,
+            req = Request(DEMAND, write, chunk, n, handle, cb,
                           DRAM if write else FLASH)
             for c in chunk:
                 c.io = req
@@ -207,7 +206,7 @@ class Device:
         handle = Handle(pages, len(chunks))
         src = INFLIGHT if write else FLASH
         for chunk, n in chunks:
-            req = Request(klass, write, chunk, n, handle, cb, t, src)
+            req = Request(klass, write, chunk, n, handle, cb, src)
             for c in chunk:
                 if write:
                     if c.owner is not None:

@@ -30,8 +30,7 @@ class Policy:
     its pages [lo, end), reached at t, stops, at a wait-exit (`waited`) or
     at the range's end."""
 
-    def __init__(self, sim, model, device, fault_overhead_us):
-        self.sim = sim
+    def __init__(self, model, device, fault_overhead_us):
         self.model = model
         self.device = device
         self.fault_overhead_us = fault_overhead_us

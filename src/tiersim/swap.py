@@ -25,10 +25,10 @@ from .policy import Policy
 class SwapPolicy(Policy):
     name = "swap"
 
-    def __init__(self, sim, model, device, fault_overhead_us=6000,
+    def __init__(self, model, device, fault_overhead_us=6000,
                  reclaim_batch=32):
-        super().__init__(sim, model, device, fault_overhead_us)
-        self.reclaim_batch = max(1, reclaim_batch)
+        super().__init__(model, device, fault_overhead_us)
+        self.reclaim_batch = reclaim_batch
         self.lru = PageList()
 
     # -- hooks of the shared walk ------------------------------------------
@@ -37,7 +37,12 @@ class SwapPolicy(Policy):
         self.lru.move_to_tail(piece)
 
     def _make_room(self, pages, t):
-        return self._reclaim(pages - self.model.free_frames(), t, rounded=False)[0]
+        need = pages - self.model.free_frames()
+        if need > self.lru.page_count:
+            raise SimulationError(
+                f"reclaim short: need {need} frames, LRU holds {self.lru.page_count}"
+            )
+        return self._reclaim(need, t)
 
     def _on_landed(self, req, landed, t):
         for c in landed:
@@ -45,38 +50,29 @@ class SwapPolicy(Policy):
 
     # -- internals ---------------------------------------------------------
 
-    def _reclaim(self, need, t, rounded, exact=True):
-        """Free frames from the LRU tail; returns (ready_at, freed). Dirty
-        victims go out in one batched demand-class write; the caller
-        serializes behind ready_at. With exact=True a shortfall is fatal."""
-        if need <= 0:
-            return t, 0
-        target = need
-        if rounded:
-            b = self.reclaim_batch
-            target = -(-need // b) * b
-        target = min(target, self.lru.page_count)
-        if exact and target < need:
-            raise SimulationError(
-                f"reclaim short: need {need} frames, LRU holds {self.lru.page_count}"
-            )
+    def _reclaim(self, target, t):
+        """Free exactly `target` frames (none if target <= 0) from the LRU
+        tail, which must hold them; returns ready_at. Dirty victims go out
+        in one batched demand-class write; the caller serializes behind
+        ready_at."""
+        if target <= 0:
+            return t
         dirty = []
-        freed = 0
-        while freed < target:
+        left = target
+        while left:
             c = self.lru.head
-            take = min(c.hi - c.lo, target - freed)
+            take = min(c.hi - c.lo, left)
             piece = self.model.extract(c, c.lo, c.lo + take)
             self.lru.remove(piece)
-            freed += take
+            left -= take
             if piece.dirty:
                 dirty.append(piece)
             else:
                 self.model.transition(piece, FLASH)  # clean drop, no IO
-        self.counters["evictions"] += freed
+        self.counters["evictions"] += target
         if not dirty:
-            return t, freed
-        handle = self.device.submit_demand(dirty, t, write=True)
-        return handle.done_t, freed
+            return t
+        return self.device.submit_demand(dirty, t, write=True).done_t
 
     # -- interface used by workloads ---------------------------------------
 
@@ -90,10 +86,11 @@ class SwapPolicy(Policy):
         while cur < hi:
             avail = self.model.free_frames()
             if avail == 0:
-                r, freed = self._reclaim(hi - cur, t, rounded=True, exact=False)
-                ready = max(ready, r)
+                b = self.reclaim_batch
+                target = min(-(-(hi - cur) // b) * b, self.lru.page_count)
+                ready = max(ready, self._reclaim(target, t))
                 avail = self.model.free_frames()
-                if freed == 0 or avail == 0:
+                if avail == 0:
                     raise SimulationError(
                         f"allocation of {hi - lo} pages found no reclaimable frames"
                     )

@@ -34,7 +34,6 @@ class NoiseCatalog:
     def __init__(self, scale=1024):
         if scale < 1:
             raise SimulationError("scale divisor must be >= 1")
-        self.scale = scale
         self.images = []        # (lo, hi) page ranges, one per image
         off = 0
         for count, mib in CATALOG_SHAPE:

@@ -76,7 +76,7 @@ def test_criterion_07_swap_matches_the_lru_oracle():
         cap = 4 + rng.randrange(509)
         length = 10_000 if trial % 40 == 0 else 100 + rng.randrange(1200)
         sim, m, dev = build(dram=cap, flash=16384)
-        pol = SwapPolicy(sim, m, dev, fault_overhead_us=0, reclaim_batch=1)
+        pol = SwapPolicy(m, dev, fault_overhead_us=0, reclaim_batch=1)
         oracle = LruOracle(cap)
         ctxs = []
         for i in range(1 + rng.randrange(3)):
@@ -130,11 +130,11 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
     sim, m, dev = build(dram=1024, flash=32768)
     dev.dispatch_log = []
     if policy_name == "swap":
-        pol = SwapPolicy(sim, m, dev, fault_overhead_us=10, reclaim_batch=8)
+        pol = SwapPolicy(m, dev, fault_overhead_us=10, reclaim_batch=8)
     else:
         # fast activity decay so the focus rotation below actually drives
         # contexts through dormancy and prefetched reactivation
-        pol = DmxPolicy(sim, m, dev, window_us=50_000, floor_pages=16,
+        pol = DmxPolicy(m, dev, window_us=50_000, floor_pages=16,
                         alpha=0.7, dormant_windows=2)
     events = [0]
 

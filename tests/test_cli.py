@@ -43,6 +43,12 @@ def test_trace_needs_a_single_policy(tmp_path, capsys):
     assert "one policy" in capsys.readouterr().err
 
 
+# a short flash run under memory pressure, where a bad device or swap value
+# that got past validation would reach the device and the reclaim path
+_PRESSED = ["--device", "flash", "--containers", "9", "--duration", "2",
+            "--warmup", "1"]
+
+
 @pytest.mark.parametrize("flags, cfg_text, key", [
     (["--duration", "nan"], None, "duration_s"),
     (["--warmup", "nan"], None, "warmup_s"),
@@ -52,8 +58,22 @@ def test_trace_needs_a_single_policy(tmp_path, capsys):
     ([], "critical.skew = nan\n", "critical.skew"),
     ([], "critical.skew = -171\n", "critical.skew"),
     ([], "critical.skew = -400\n", "critical.skew"),
+    (_PRESSED, "mem.dram_pages = 8192\ndevice.max_inflight = 0\n",
+     "device.max_inflight"),
+    (_PRESSED, "mem.dram_pages = 8192\ndevice.bandwidth_bps = 0\n",
+     "device.bandwidth_bps"),
+    (_PRESSED, "mem.dram_pages = 8192\ndevice.batch_pages = 0\n",
+     "device.batch_pages"),
+    (_PRESSED, "mem.dram_pages = 8192\ndevice.read_lat_us = -100000\n",
+     "device.read_lat_us"),
+    (_PRESSED, "mem.dram_pages = 8192\ndevice.write_lat_us = -100000\n",
+     "device.write_lat_us"),
+    (_PRESSED, "mem.dram_pages = 8192\nswap.reclaim_batch = 0\n",
+     "swap.reclaim_batch"),
 ], ids=["duration-nan", "warmup-nan", "duration-inf", "draws-negative",
-        "draws-zero", "skew-nan", "skew-171", "skew-400"])
+        "draws-zero", "skew-nan", "skew-171", "skew-400", "max-inflight-zero",
+        "bandwidth-zero", "batch-pages-zero", "read-lat-negative",
+        "write-lat-negative", "reclaim-batch-zero"])
 def test_bad_numbers_exit_one_with_a_message(tmp_path, capsys, flags,
                                              cfg_text, key):
     argv = ["--containers", "1", "--out", str(tmp_path / "out")] + flags

@@ -1,8 +1,17 @@
+import inspect
+from dataclasses import fields
+
 import pytest
 
+from tiersim import experiment
 from tiersim.config import (
     ConfigError, DEFAULTS, parse_config_file, resolve, render, validate,
 )
+from tiersim.dmx import DmxPolicy
+from tiersim.media import DeviceProfile
+from tiersim.memory import MemoryModel
+from tiersim.swap import SwapPolicy
+from tiersim.workload import CriticalService, NoiseSystem
 
 
 def test_defaults_resolve_cleanly():
@@ -142,3 +151,66 @@ def test_every_default_key_parses_its_own_rendering():
             assert parser(",".join(str(c) for c in val)) == val
         else:
             assert parser(str(val)) == val
+
+
+# the part each config section configures
+SECTION_PARTS = {"mem": MemoryModel, "swap": SwapPolicy, "dmx": DmxPolicy,
+                 "critical": CriticalService, "noise": NoiseSystem}
+
+# every section key at a value other than its default, and, within a part,
+# other than its neighbours' (dmx.lifetime_us and dmx.window_us share a
+# default, so a swapped mapping of the two would pass every golden digest)
+NON_DEFAULT = {
+    "mem.dram_pages": 60_000, "mem.flash_pages": 500_000,
+    "device.read_lat_us": 81, "device.write_lat_us": 201,
+    "device.bandwidth_bps": 2**30 + 1, "device.batch_pages": 63,
+    "device.max_inflight": 7,
+    "noise.clients": 191, "noise.think_us": 149_999,
+    "critical.threads": 15, "critical.base_service_us": 4999,
+    "critical.hot_records": 63, "critical.hot_record_pages": 31,
+    "critical.cold_records": 1499, "critical.cold_record_pages": 11,
+    "critical.cold_frac": 0.025, "critical.skew": 0.98,
+    "critical.draws_per_txn": 3,
+    "swap.fault_overhead_us": 5999, "swap.reclaim_batch": 33,
+    "dmx.levels": 7, "dmx.lifetime_us": 40_000, "dmx.window_us": 50_000,
+    "dmx.alpha": 0.4, "dmx.dormant_threshold": 2.0, "dmx.dormant_windows": 4,
+    "dmx.floor_pages": 65, "dmx.reserve_frac": 0.03,
+    "dmx.fault_overhead_us": 1,
+}
+
+
+def test_every_section_key_names_a_parameter_of_its_part():
+    params = {name: set(inspect.signature(part).parameters)
+              for name, part in SECTION_PARTS.items()}
+    params["device"] = {f.name for f in fields(DeviceProfile)}
+    for key in DEFAULTS:
+        if "." in key:
+            section, param = key.split(".")
+            assert param in params[section], key
+
+
+def test_each_section_key_reaches_its_part(monkeypatch):
+    assert set(NON_DEFAULT) == {k for k in DEFAULTS if "." in k}
+    for key, value in NON_DEFAULT.items():
+        assert value != DEFAULTS[key][1], key
+    cfg = resolve({k: str(v) for k, v in NON_DEFAULT.items()},
+                  {"duration_s": "0.2", "warmup_s": "0.1"})
+    parts = {}
+    for section in ("critical", "noise"):
+        cls = SECTION_PARTS[section]
+        monkeypatch.setattr(experiment, cls.__name__,
+                            lambda *a, _s=section, _cls=cls, **kw:
+                            parts.setdefault(_s, _cls(*a, **kw)))
+    experiment.run_point(cfg, "dmx", "flash", 1)
+    _, parts["mem"], parts["dmx"] = experiment._stack(cfg, "dmx", "flash", None)
+    parts["swap"] = experiment._stack(cfg, "swap", "flash", None)[2]
+    parts["device"] = parts["dmx"].device.profile
+    unchecked = set()
+    for key, value in NON_DEFAULT.items():
+        section, param = key.split(".")
+        if hasattr(parts[section], param):
+            assert getattr(parts[section], param) == value, key
+        else:
+            unchecked.add(key)
+    # the two parameters a part keeps only in derived form
+    assert unchecked == {"critical.skew", "dmx.reserve_frac"}

@@ -146,7 +146,7 @@ def test_a_point_leaves_no_cyclic_garbage(run_garbage, tmp_path, monkeypatch,
 
 def test_a_dmx_wake_and_its_prefetch_leave_no_cyclic_garbage(run_garbage):
     sim, m, dev = build(dram=2048, flash=16384)
-    pol = DmxPolicy(sim, m, dev)
+    pol = DmxPolicy(m, dev)
     ctx = pol.register(m.new_context("sleeper"))
     m.create(ctx, 0, 64, tier=FLASH, dirty=False)
     rec = pol.contexts[ctx]

@@ -11,7 +11,7 @@ from tiersim.workload import walk_ranges
 
 def dmx_stack(dram=2048, flash=16384, **kw):
     sim, m, dev = build(dram=dram, flash=flash)
-    pol = DmxPolicy(sim, m, dev, **kw)
+    pol = DmxPolicy(m, dev, **kw)
     return sim, m, dev, pol
 
 

@@ -141,7 +141,7 @@ def run_seeded_walks(policy_cls, seed=3, walks=400, max_pages=12):
     each walk's end time, the counters and every cohort's state and list
     order."""
     sim, m, dev = build(dram=128, flash=4096)
-    pol = policy_cls(sim, m, dev, fault_overhead_us=100)
+    pol = policy_cls(m, dev, fault_overhead_us=100)
     rnd = random.Random(seed)
     ctxs = [pol.register(m.new_context(cid)) for cid in ("a", "b")]
     for ctx in ctxs:

@@ -36,7 +36,7 @@ def test_access_range_returns_done_at_or_a_wait_exit(policy_cls):
     victim still draining to flash returns (t, the write's handle, the
     page to resume at)."""
     sim, m, dev = build(dram=64, flash=1024)
-    pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+    pol = policy_cls(m, dev, fault_overhead_us=0)
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 8, 0)
     m.create(ctx, 8, 12, tier=FLASH, dirty=False)
@@ -58,7 +58,7 @@ def test_access_range_returns_done_at_or_a_wait_exit(policy_cls):
                          ids=["swap", "dmx"])
 def test_walk_calls_each_hook_once_per_piece_cluster_and_read(policy_cls):
     sim, m, dev = build(dram=64, flash=1024)
-    pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+    pol = policy_cls(m, dev, fault_overhead_us=0)
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 8, 0)
     m.create(ctx, 8, 12, tier=FLASH, dirty=False)
@@ -101,7 +101,7 @@ def test_walk_calls_each_hook_once_per_piece_cluster_and_read(policy_cls):
 
 def test_dmx_window_counts_each_walked_page_once():
     sim, m, dev = build(dram=64, flash=1024)
-    pol = DmxPolicy(sim, m, dev, floor_pages=0)
+    pol = DmxPolicy(m, dev, floor_pages=0)
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 8, 0)
     m.create(ctx, 8, 12, tier=FLASH, dirty=False)
@@ -136,7 +136,7 @@ def test_a_wait_in_range_two_of_three_resumes_then_walks_range_three(policy_cls)
     once the write lands, and calls done exactly once. Each range is logged
     and reported to _on_walked with the time the walk reached it."""
     sim, m, dev = build(dram=64, flash=1024)
-    pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+    pol = policy_cls(m, dev, fault_overhead_us=0)
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 8, 0)
     m.create(ctx, 8, 12, tier=FLASH, dirty=False)
@@ -179,7 +179,7 @@ def test_access_range_is_the_walk_of_one_range(policy_cls):
     logs, ends = [], []
     for one_range in (True, False):
         sim, m, dev = build(dram=64, flash=1024)
-        pol = policy_cls(sim, m, dev, fault_overhead_us=0)
+        pol = policy_cls(m, dev, fault_overhead_us=0)
         pol.access_log = []
         ctx = pol.register(m.new_context("a"))
         pol.on_allocate(ctx, 0, 8, 0)

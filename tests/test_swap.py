@@ -9,7 +9,7 @@ from tiersim.swap import SwapPolicy
 
 def swap_stack(dram=256, flash=8192, overhead=0, batch=1, **dev):
     sim, m, dev_ = build(dram=dram, flash=flash, **dev)
-    pol = SwapPolicy(sim, m, dev_, fault_overhead_us=overhead,
+    pol = SwapPolicy(m, dev_, fault_overhead_us=overhead,
                      reclaim_batch=batch)
     return sim, m, dev_, pol
 
@@ -48,7 +48,7 @@ def test_clean_fault_costs_one_read():
     sim, m, dev, pol = swap_stack(dram=2)
     ctx = pol.register(m.new_context("a"))
     pol.on_allocate(ctx, 0, 1, 0)
-    pol._reclaim(1, 0, rounded=False)       # force page 0 out (dirty write)
+    pol._reclaim(1, 0)                  # force page 0 out (dirty write)
     sim.drain()
     c = m.lookup(ctx, 0)
     assert c.tier == FLASH and not c.dirty

@@ -19,7 +19,7 @@ from tiersim.workload import (
 
 def swap_stack(dram=65536, flash=524288, overhead=6000):
     sim, m, dev = build(dram=dram, flash=flash)
-    pol = SwapPolicy(sim, m, dev, fault_overhead_us=overhead, reclaim_batch=1)
+    pol = SwapPolicy(m, dev, fault_overhead_us=overhead, reclaim_batch=1)
     return sim, m, dev, pol
 
 
@@ -111,7 +111,7 @@ def test_walk_abandons_when_the_context_dies():
                          ids=["swap", "dmx"])
 def test_access_to_a_torn_down_context_is_fatal(policy_cls):
     sim, m, dev = build(dram=64, flash=512)
-    pol = policy_cls(sim, m, dev)
+    pol = policy_cls(m, dev)
     ctx = pol.register(m.new_context("n"))
     pol.on_allocate(ctx, 0, 8, 0)
     pol.on_teardown(ctx)
@@ -170,7 +170,7 @@ def test_hit_only_transactions_leave_no_cyclic_garbage(policy_cls):
     cyclic collector alone could free: walks and their completions form no
     reference cycle."""
     sim, m, dev = build(dram=65536, flash=524288)
-    pol = policy_cls(sim, m, dev)
+    pol = policy_cls(m, dev)
     svc = CriticalService(sim, m, pol, Collector(0, 1_000_000),
                           SplitMix64(5))
     svc.start()
@@ -407,7 +407,7 @@ def test_one_fault_inside_a_transaction_adds_its_stall():
     svc = CriticalService(sim, m, pol, coll, SplitMix64(4), threads=1,
                           draws_per_txn=1)
     pol.on_allocate(svc.ctx, 0, 1, 0)
-    pol._reclaim(1, 0, rounded=False)
+    pol._reclaim(1, 0)
     sim.run(500)                            # write-back done, page 0 on flash
     svc.records = iter([(0, 1)])
     TxnThread(svc).begin(1000)
@@ -487,7 +487,7 @@ def test_a_replay_keeps_every_page_a_first_page(policy_cls):
         records.append((t, "ab"[rng.randrange(2)], rng.randrange(160),
                         "rw"[rng.randrange(2)]))
     sim, m, dev = build(dram=128, flash=1024)
-    pol = policy_cls(sim, m, dev)
+    pol = policy_cls(m, dev)
     driver = TraceDriver(sim, m, pol, records)
     driver.start()
     sim.run(records[-1][0])
