@@ -76,18 +76,20 @@ _cohorts = attrgetter("cohorts")
 def _over_quota_order(rec):
     """The victim order of over-quota contexts: most over quota first, ties
     by the context id as a string."""
-    return rec.quota - rec.ctx.resident, str(rec.ctx.cid)
+    return rec.quota - rec.ctx.resident, rec.key
 
 
 class DmxContext:
     """dmx's state for one registered context. Its victim index is None until
-    a selection builds one, and every tick drops it."""
+    a selection builds one, and every tick drops it. `key`, the context id as
+    a string, breaks ties between contexts in victim order."""
 
-    __slots__ = ("ctx", "levels", "quota", "score", "window_count",
+    __slots__ = ("ctx", "key", "levels", "quota", "score", "window_count",
                  "low_windows", "state", "hot_set", "index")
 
     def __init__(self, ctx, levels):
         self.ctx = ctx
+        self.key = str(ctx.cid)
         self.levels = [PageList() for _ in range(levels)]
         self.quota = 0
         self.score = 0.0
@@ -475,23 +477,16 @@ class DmxPolicy(Policy):
         dirty = []
         got = 0
         overs = [rec for rec in self.contexts.values() if rec.ctx.resident > rec.quota]
-        if overs:
-            # the most over quota first; the rest are sorted only if it
-            # falls short (taking from it moves no other context's key)
-            first = min(overs, key=_over_quota_order)
-            got = self._victims_from(
-                first, min(need, first.ctx.resident - first.quota), t, dirty)
-            if got < need and len(overs) > 1:
-                overs.remove(first)
-                overs.sort(key=_over_quota_order)
-                for rec in overs:
-                    if got >= need:
-                        break
-                    allow = min(need - got, rec.ctx.resident - rec.quota)
-                    got += self._victims_from(rec, allow, t, dirty)
+        # one sort serves the whole pass: taking from a context moves no
+        # other context's key
+        for rec in sorted(overs, key=_over_quota_order):
+            if got >= need:
+                break
+            allow = min(need - got, rec.ctx.resident - rec.quota)
+            got += self._victims_from(rec, allow, t, dirty)
         if got < need:
             for rec in sorted(self.contexts.values(), key=lambda rec: (
-                    -rec.ctx.resident, str(rec.ctx.cid))):
+                    -rec.ctx.resident, rec.key)):
                 if got >= need:
                     break
                 got += self._victims_from(rec, need - got, t, dirty)

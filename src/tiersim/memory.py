@@ -8,21 +8,28 @@ splits a one-page cohort off), which the oracle tests rely on. A Context
 holds no policy state: dmx keeps its own per context (dmx.DmxContext).
 
 A context's page map is keyed by first page, not by page: `Context.pages`
-maps each cohort's first page to the cohort, and `Context.starts` keeps those
-first pages in order. Allocating or splitting a cohort writes a constant
+maps each cohort's first page to the cohort, and `Context.starts` is a sorted
+list of those first pages. Allocating or splitting a cohort writes a constant
 number of entries whatever its size, and `MemoryModel.lookup` finds the
 cohort that holds an interior page by a predecessor search (the way Linux
 finds the mapping that covers an address in its maple tree). The cohorts,
 their bounds and every counter are the same as under a per-page map, so the
 behaviour is too.
 
+An insert into the flat list moves its tail, so births in random page order
+into one context cost time quadratic in its cohort count: 65,536 one-page
+births in shuffled order take about 0.4 s, 300,000 about 6 s. The served
+workloads stay far below that. The largest context at the end of a 15 s
+sweep point holds about 5,100 cohorts, and a trace-rw context at most 8,192
+pages. A workload that puts hundreds of thousands of cohorts in one context
+needs a blocked or tree index here instead.
+
 Tier states: DRAM, FLASH, INFLIGHT (with direction), DEAD after teardown.
 Census identity: dram + flash + inflight == total allocated, always.
 Pages are born dirty (their first content has never been written back).
 """
 
-from bisect import bisect_right
-from itertools import chain
+from bisect import bisect_right, insort
 
 from .core import SimulationError
 
@@ -162,67 +169,6 @@ class PageList:
         return self.cohorts
 
 
-# A block of a first-page index splits in two once it holds more keys than
-# this: an insert moves the keys of one block and a search bisects the
-# blocks' first keys, then one block.
-INDEX_BLOCK = 512
-
-
-class StartIndex:
-    """The first pages of a context's cohorts, ascending, kept in sorted
-    blocks so that an insert moves one block, not every key. Insert-only:
-    cohorts split but never merge, so a first page lasts until teardown."""
-
-    __slots__ = ("blocks", "firsts")
-
-    def __init__(self):
-        self.blocks = []        # non-empty sorted key lists, in key order
-        self.firsts = []        # blocks[b][0] for every b
-
-    def __iter__(self):
-        return chain.from_iterable(self.blocks)
-
-    def locate(self, key):
-        """Where `key` would go: (b, j, below, above), with blocks[b][j] its
-        slot and below/above the keys on either side (None past an end)."""
-        firsts = self.firsts
-        b = bisect_right(firsts, key) - 1
-        if b < 0:
-            return 0, 0, None, (firsts[0] if firsts else None)
-        blk = self.blocks[b]
-        j = bisect_right(blk, key)
-        if j < len(blk):
-            above = blk[j]
-        elif b + 1 < len(firsts):
-            above = firsts[b + 1]
-        else:
-            above = None
-        return b, j, blk[j - 1], above
-
-    def insert_at(self, b, j, keys):
-        """Put `keys` (ascending, with no key between them) in slot (b, j)
-        from locate; a block that grows past INDEX_BLOCK splits in two."""
-        blocks = self.blocks
-        if not blocks:
-            blocks.append(list(keys))
-            self.firsts.append(keys[0])
-            return
-        blk = blocks[b]
-        blk[j:j] = keys
-        if j == 0:
-            self.firsts[b] = keys[0]
-        if len(blk) > INDEX_BLOCK:
-            right = blk[INDEX_BLOCK // 2:]
-            del blk[INDEX_BLOCK // 2:]
-            blocks.insert(b + 1, right)
-            self.firsts.insert(b + 1, right[0])
-
-    def add(self, *keys):
-        """Insert new keys, ascending, with no key between them."""
-        b, j, _, _ = self.locate(keys[0])
-        self.insert_at(b, j, keys)
-
-
 class Context:
     __slots__ = ("cid", "alive", "pages", "starts", "total", "resident")
 
@@ -230,7 +176,7 @@ class Context:
         self.cid = cid
         self.alive = True
         self.pages = {}          # first page -> Cohort
-        self.starts = StartIndex()   # the keys of `pages`, in order
+        self.starts = []         # the keys of `pages`, ascending
         self.total = 0
         self.resident = 0        # DRAM pages held by this context
 
@@ -270,7 +216,7 @@ class MemoryModel:
             if c.owner is not None:
                 c.owner.remove(c)
         pages.clear()
-        ctx.starts = StartIndex()
+        ctx.starts = []
         ctx.alive = False
         del self.contexts[ctx.cid]
 
@@ -299,14 +245,14 @@ class MemoryModel:
         # find the slot and any collision before writing anything
         pages = ctx.pages
         starts = ctx.starts
-        b, j, below, above = starts.locate(lo)
-        if below is not None and pages[below].hi > lo:
+        j = bisect_right(starts, lo)
+        if j and pages[starts[j - 1]].hi > lo:
             raise SimulationError(f"page {lo} already allocated in {ctx.cid!r}")
-        if above is not None and above < hi:
-            raise SimulationError(f"page {above} already allocated in {ctx.cid!r}")
+        if j < len(starts) and starts[j] < hi:
+            raise SimulationError(f"page {starts[j]} already allocated in {ctx.cid!r}")
         c = Cohort(ctx, lo, hi, tier, dirty)
         pages[lo] = c
-        starts.insert_at(b, j, (lo,))
+        starts.insert(j, lo)
         ctx.total += n
         self.total += n
         if tier == DRAM:
@@ -325,10 +271,9 @@ class MemoryModel:
         c = pages.get(idx)
         if c is None:
             starts = ctx.starts
-            b = bisect_right(starts.firsts, idx) - 1
-            if b >= 0:
-                blk = starts.blocks[b]
-                c = pages[blk[bisect_right(blk, idx) - 1]]
+            j = bisect_right(starts, idx)
+            if j:
+                c = pages[starts[j - 1]]
                 if idx >= c.hi:
                     return None
         return c
@@ -400,13 +345,13 @@ class MemoryModel:
         if lo == c.lo:
             c.lo = hi                      # out takes the prefix
             pages[hi] = c
-            ctx.starts.add(hi)
+            insort(ctx.starts, hi)
             if lst is not None:
                 lst.insert_before(out, c)
                 lst.page_count -= hi - lo   # moved out of c, not the list
         elif hi == c.hi:
             c.hi = lo                      # out takes the suffix
-            ctx.starts.add(lo)
+            insort(ctx.starts, lo)
             if lst is not None:
                 lst.insert_after(out, c)
                 lst.page_count -= hi - lo
@@ -416,7 +361,9 @@ class MemoryModel:
             right.dir, right.prefetched = c.dir, c.prefetched
             c.hi = lo
             pages[hi] = right
-            ctx.starts.add(lo, hi)
+            starts = ctx.starts
+            j = bisect_right(starts, lo)
+            starts[j:j] = (lo, hi)
             if lst is not None:
                 lst.insert_after(out, c)
                 lst.insert_after(right, c)  # c, right, out
@@ -456,16 +403,12 @@ class MemoryModel:
         dram = flash = inflight = inflight_in = total = 0
         for ctx in self.contexts.values():
             pages, starts = ctx.pages, ctx.starts
-            keys = list(starts)
-            if (not all(starts.blocks)
-                    or starts.firsts != [blk[0] for blk in starts.blocks]):
-                raise SimulationError(f"context {ctx.cid!r} page index blocks drifted")
-            if keys != sorted(pages):
+            if starts != sorted(pages):
                 raise SimulationError(
                     f"context {ctx.cid!r} page index out of step with the page map")
             ctx_resident = 0
             end = None
-            for lo in keys:
+            for lo in starts:
                 c = pages[lo]
                 if c.lo != lo or c.hi <= lo or c.ctx is not ctx:
                     raise SimulationError(f"page map key {lo} is not the first page of {c}")

@@ -24,7 +24,8 @@ cover what it leaves out:
   one 8-second flash point at 25 containers, seed 11, per policy, so a
   change that keeps the counts but moves an event or a page touch shows.
 A strict xfail runs the same walks with longer ranges, which abort today,
-so the fix of that defect shows as an unexpected pass.
+and another replays a trace whose page births abort the same way, so the
+fix of that defect shows as an unexpected pass.
 
 A change that alters the output on purpose updates the pins: run
 
@@ -51,7 +52,7 @@ from tiersim.dmx import DmxPolicy
 from tiersim.experiment import run_point, run_sweep, run_trace
 from tiersim.memory import MemoryModel
 from tiersim.swap import SwapPolicy
-from tiersim.workload import CriticalService, NoiseSystem, walk_ranges
+from tiersim.workload import CriticalService, NoiseSystem, TraceDriver, walk_ranges
 
 SWEEP_SHA256 = "77b2c26a4e0cd5d27aabdf7e086135e66310fc1dfd9acf0626a83e619fae8f5c"
 DISK_SWEEP_SHA256 = "698d579930a742c527ed37521a815be624b30cb4c9e51937168ed5f9b04332b9"
@@ -217,3 +218,29 @@ def test_long_overlapping_walks_wait_for_frames(policy_cls, seed):
     raises "reclaim short" and dmx "no evictable frames" where the fault
     should wait for a frame. Drop the xfail when the fault path waits."""
     run_seeded_walks(policy_cls, seed=seed, max_pages=24)
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError,
+                   reason="a page birth takes its frame at once and cannot "
+                          "wait for one; with every frame inbound, swap's "
+                          "on_allocate finds nothing to reclaim and the run "
+                          "aborts")
+def test_births_wait_for_frames():
+    """2,000 one-page trace records over two contexts of 96 pages, 1-200 us
+    apart, into 48 frames: at record 584 a birth finds all 48 frames
+    inbound and swap raises "found no reclaimable frames". Drop the xfail
+    when a birth, like a fault, waits for a frame."""
+    rng = SplitMix64(9)
+    t = 0
+    records = []
+    for _ in range(2000):
+        t += 1 + rng.randrange(200)
+        cid = f"c{rng.randrange(2)}"
+        page = rng.randrange(96)
+        records.append((t, cid, page, "w" if rng.randrange(2) else "r"))
+    sim, m, dev = build(dram=48, flash=4096)
+    replay = TraceDriver(sim, m, SwapPolicy(m, dev), records)
+    replay.start()
+    sim.drain()
+    assert replay.i == len(records)
+    m.check_full()

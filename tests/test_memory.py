@@ -5,7 +5,6 @@ import pytest
 from tiersim.core import SimulationError
 from tiersim.memory import (
     MemoryModel, PageList, Cohort, DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH,
-    INDEX_BLOCK,
 )
 
 
@@ -293,9 +292,9 @@ def _reference_bounds(ref, lo, hi, bounds):
 def test_page_map_matches_a_per_page_reference(seed):
     """Random creates (with collisions and gaps) and prefix, suffix,
     interior and whole extracts, against a per-page reference of each
-    page's cohort bounds. Enough first pages to split index blocks."""
+    page's cohort bounds, over a few thousand first pages."""
     rng = random.Random(seed)
-    space = 12 * INDEX_BLOCK
+    space = 6144
     m = MemoryModel(10, 4 * space)
     ctx = m.new_context("a")
     ref = {}                        # page -> (lo, hi) of the cohort holding it
@@ -317,7 +316,7 @@ def test_page_map_matches_a_per_page_reference(seed):
         m.check_full()
 
     collisions = 0
-    for step in range(6 * INDEX_BLOCK):
+    for step in range(3072):
         if not ref or rng.random() < 0.5:
             lo = rng.randrange(space)
             hi = lo + rng.randint(1, 6)
@@ -362,7 +361,6 @@ def test_page_map_matches_a_per_page_reference(seed):
             audit_all()
     audit_all()
     assert collisions > 50
-    assert len(ctx.starts.blocks) > 2
     assert sum(c.hi - c.lo for c in ctx.pages.values()) == len(ref) == m.total
 
 
@@ -386,18 +384,14 @@ def test_full_audit_rejects_a_stale_key():
 
 def test_full_audit_rejects_an_index_out_of_order_or_out_of_step():
     m, ctx = _split_map()
-    blk = ctx.starts.blocks[0]
-    blk[1], blk[2] = blk[2], blk[1]
+    starts = ctx.starts
+    starts[1], starts[2] = starts[2], starts[1]
     with pytest.raises(SimulationError, match="out of step"):
         m.check_full()
-    blk[1], blk[2] = blk[2], blk[1]
+    starts[1], starts[2] = starts[2], starts[1]
     m.check_full()
-    blk.remove(36)                          # a key the index lost
+    starts.remove(36)                       # a key the index lost
     with pytest.raises(SimulationError, match="out of step"):
-        m.check_full()
-    blk.append(36)
-    ctx.starts.firsts[0] = 5                # a block's first key drifted
-    with pytest.raises(SimulationError, match="blocks drifted"):
         m.check_full()
 
 
@@ -409,24 +403,24 @@ def test_full_audit_rejects_overlapping_cohorts():
         m.check_full()
 
 
-def test_collisions_and_lookups_across_index_block_boundaries():
-    """Births on every other page, last page first, split the index into
-    blocks; a birth that reaches only the next block's first page collides,
-    and one that stops short of it fits the gap."""
-    m = MemoryModel(10, 10 * INDEX_BLOCK)
+def test_collisions_and_lookups_at_every_first_page():
+    """Births on every other page, last page first; at every first page, a
+    birth that reaches only that page collides, and one that stops short of
+    it fits the gap below."""
+    m = MemoryModel(10, 5120)
     ctx = m.new_context("a")
-    n = 2 * INDEX_BLOCK + 1
+    n = 1025
     for i in reversed(range(n)):
         m.create(ctx, 2 * i + 1, 2 * i + 2, tier=FLASH)
-    firsts = list(ctx.starts.firsts)
-    assert len(firsts) > 2
-    for first in firsts[1:]:
+    firsts = list(ctx.starts)
+    assert firsts == [2 * i + 1 for i in range(n)]
+    for first in firsts:
         with pytest.raises(SimulationError, match=f"page {first} already allocated"):
             m.create(ctx, first - 1, first + 1, tier=FLASH)
         assert m.lookup(ctx, first - 1) is None
         assert m.lookup(ctx, first).lo == first
-    for first in firsts[1:]:
+    for first in firsts:
         m.create(ctx, first - 1, first, tier=FLASH)
     assert [m.lookup(ctx, i) is None for i in range(2 * n + 1)] == [
-        i % 2 == 0 and i + 1 not in firsts[1:] for i in range(2 * n + 1)]
+        i == 2 * n for i in range(2 * n + 1)]
     m.check_full()
