@@ -8,7 +8,7 @@ reports critical-service throughput and latency percentiles.
 """
 
 from .core import Simulator, SplitMix64, SimulationError, mix_seed, US_PER_S
-from .memory import MemoryModel, DRAM, FLASH, INFLIGHT, PAGE_BYTES
+from .memory import MemoryModel, DRAM, FLASH, TO_DRAM, TO_FLASH, PAGE_BYTES
 from .media import Device, DeviceProfile, PROFILES
 from .swap import SwapPolicy
 from .dmx import DmxPolicy
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Simulator", "SplitMix64", "SimulationError", "mix_seed", "US_PER_S",
-    "MemoryModel", "DRAM", "FLASH", "INFLIGHT", "PAGE_BYTES",
+    "MemoryModel", "DRAM", "FLASH", "TO_DRAM", "TO_FLASH", "PAGE_BYTES",
     "Device", "DeviceProfile", "PROFILES",
     "SwapPolicy", "DmxPolicy",
     "Collector", "RunSummary", "percentile",

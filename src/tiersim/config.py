@@ -5,8 +5,9 @@ rendered back out; re-running from that echo reproduces the run.
 
 A dotted key `section.param` sets the constructor parameter `param` of the
 part its section configures (experiment.py builds each part from its
-section), so DEFAULTS is the one place a setting is named. Undotted keys
-shape the sweep, and the command-line flag of each has its key as dest.
+section), so DEFAULTS is the one place a setting is named, with its
+parser, default and least value. Undotted keys shape the sweep, and the
+command-line flag of each has its key as dest.
 """
 
 import math
@@ -47,44 +48,46 @@ def _containers(s):
     return [int(x) for x in s.split(",") if x.strip()]
 
 
-# key -> (parser, default); None default = "unset" (profile value applies)
+# key -> (parser, default, least): a None default leaves the key unset (the
+# device profile's value applies); an int key with a least value must be at
+# least that (1: positive, 0: non-negative) when set
 DEFAULTS = {
-    "policy": (_str, "swap"),
-    "device": (_str, "disk"),
-    "containers": (_containers, list(range(1, 50, 2))),
-    "duration_s": (_float, 60.0),
-    "warmup_s": (_float, 5.0),
-    "seed": (_int, 42),
-    "scale": (_int, 1024),
-    "mem.dram_pages": (_int, 65536),
-    "mem.flash_pages": (_int, 524288),
-    "device.read_lat_us": (_int, None),
-    "device.write_lat_us": (_int, None),
-    "device.bandwidth_bps": (_int, None),
-    "device.batch_pages": (_int, None),
-    "device.max_inflight": (_int, None),
-    "noise.clients": (_int, 192),
-    "noise.think_us": (_int, 150_000),
-    "critical.threads": (_int, 16),
-    "critical.base_service_us": (_int, 5000),
-    "critical.hot_records": (_int, 64),
-    "critical.hot_record_pages": (_int, 32),
-    "critical.cold_records": (_int, 1500),
-    "critical.cold_record_pages": (_int, 12),
-    "critical.cold_frac": (_float, 0.024),
-    "critical.skew": (_float, 0.99),
-    "critical.draws_per_txn": (_int, 2),
-    "swap.fault_overhead_us": (_int, 6000),
-    "swap.reclaim_batch": (_int, 32),
-    "dmx.levels": (_int, 8),
-    "dmx.lifetime_us": (_int, 100_000),
-    "dmx.window_us": (_int, 100_000),
-    "dmx.alpha": (_float, 0.3),
-    "dmx.dormant_threshold": (_float, 1.0),
-    "dmx.dormant_windows": (_int, 5),
-    "dmx.floor_pages": (_int, 64),
-    "dmx.reserve_frac": (_float, 0.02),
-    "dmx.fault_overhead_us": (_int, 0),
+    "policy": (_str, "swap", None),
+    "device": (_str, "disk", None),
+    "containers": (_containers, list(range(1, 50, 2)), None),
+    "duration_s": (_float, 60.0, None),
+    "warmup_s": (_float, 5.0, None),
+    "seed": (_int, 42, None),
+    "scale": (_int, 1024, 1),
+    "mem.dram_pages": (_int, 65536, 1),
+    "mem.flash_pages": (_int, 524288, 1),
+    "device.read_lat_us": (_int, None, 0),
+    "device.write_lat_us": (_int, None, 0),
+    "device.bandwidth_bps": (_int, None, 1),
+    "device.batch_pages": (_int, None, 1),
+    "device.max_inflight": (_int, None, 1),
+    "noise.clients": (_int, 192, 0),
+    "noise.think_us": (_int, 150_000, 1),
+    "critical.threads": (_int, 16, 1),
+    "critical.base_service_us": (_int, 5000, 1),
+    "critical.hot_records": (_int, 64, 1),
+    "critical.hot_record_pages": (_int, 32, 1),
+    "critical.cold_records": (_int, 1500, 0),
+    "critical.cold_record_pages": (_int, 12, 0),
+    "critical.cold_frac": (_float, 0.024, None),
+    "critical.skew": (_float, 0.99, None),
+    "critical.draws_per_txn": (_int, 2, 1),
+    "swap.fault_overhead_us": (_int, 6000, 0),
+    "swap.reclaim_batch": (_int, 32, 1),
+    "dmx.levels": (_int, 8, 1),
+    "dmx.lifetime_us": (_int, 100_000, 1),
+    "dmx.window_us": (_int, 100_000, 1),
+    "dmx.alpha": (_float, 0.3, None),
+    "dmx.dormant_threshold": (_float, 1.0, None),
+    "dmx.dormant_windows": (_int, 5, 0),
+    "dmx.floor_pages": (_int, 64, 0),
+    "dmx.reserve_frac": (_float, 0.02, None),
+    "dmx.fault_overhead_us": (_int, 0, 0),
 }
 
 _POLICIES = ("swap", "dmx", "both")
@@ -110,7 +113,7 @@ def parse_config_file(path):
 
 
 def resolve(file_values=None, flag_values=None):
-    cfg = {k: default for k, (_, default) in DEFAULTS.items()}
+    cfg = {k: default for k, (_, default, _) in DEFAULTS.items()}
     for source, values in (("config", file_values), ("flag", flag_values)):
         for key, raw in (values or {}).items():
             if key not in DEFAULTS:
@@ -139,23 +142,10 @@ def validate(cfg):
     if cfg["duration_s"] <= cfg["warmup_s"]:
         raise ConfigError(
             f"duration_s={cfg['duration_s']} must exceed warmup_s={cfg['warmup_s']}")
-    if cfg["scale"] < 1:
-        raise ConfigError("scale must be >= 1")
-    for key in ("mem.dram_pages", "mem.flash_pages", "critical.threads",
-                "noise.think_us", "critical.base_service_us",
-                "critical.hot_records", "critical.hot_record_pages",
-                "critical.draws_per_txn", "dmx.levels", "dmx.window_us",
-                "dmx.lifetime_us", "swap.reclaim_batch", "device.bandwidth_bps",
-                "device.batch_pages", "device.max_inflight"):
-        if cfg[key] is not None and cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
-    for key in ("noise.clients", "swap.fault_overhead_us",
-                "critical.cold_records", "critical.cold_record_pages",
-                "dmx.floor_pages", "dmx.dormant_windows",
-                "dmx.fault_overhead_us", "device.read_lat_us",
-                "device.write_lat_us"):
-        if cfg[key] is not None and cfg[key] < 0:
-            raise ConfigError(f"{key} must be non-negative")
+    for key, (_, _, least) in DEFAULTS.items():
+        if least is not None and cfg[key] is not None and cfg[key] < least:
+            raise ConfigError(
+                f"{key} must be {'positive' if least else 'non-negative'}")
     if not _hot_weights_finite(cfg["critical.hot_records"], cfg["critical.skew"]):
         raise ConfigError(
             f"critical.skew={cfg['critical.skew']!r} makes the hot-record "

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import SimulationError, US_PER_S
-from .memory import (
-    PAGE_BYTES, DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH,
-)
+from .memory import PAGE_BYTES, DRAM, FLASH, TO_DRAM, TO_FLASH, DEAD
 
 DEMAND = 0
 EVICT = 1
@@ -63,10 +61,9 @@ def service_time_us(profile: DeviceProfile, pages: int, write: bool) -> int:
 class Handle:
     """Aggregates the sub-requests of one submission."""
 
-    __slots__ = ("pages", "remaining", "done_t", "done", "_waiters")
+    __slots__ = ("remaining", "done_t", "done", "_waiters")
 
-    def __init__(self, pages, nreqs, done_t=None):
-        self.pages = pages
+    def __init__(self, nreqs, done_t=None):
         self.remaining = nreqs
         self.done_t = done_t    # known at submit for demand IO
         self.done = nreqs == 0
@@ -90,9 +87,9 @@ class Handle:
 
 class Request:
     __slots__ = ("klass", "write", "cohorts", "pages", "handle", "cb",
-                 "done_t", "src_tier")
+                 "done_t")
 
-    def __init__(self, klass, write, cohorts, pages, handle, cb, src_tier):
+    def __init__(self, klass, write, cohorts, pages, handle, cb):
         self.klass = klass
         self.write = write
         self.cohorts = cohorts
@@ -100,7 +97,6 @@ class Request:
         self.handle = handle
         self.cb = cb
         self.done_t = None
-        self.src_tier = src_tier
 
 
 def _chunk(cohorts, batch, extract):
@@ -151,18 +147,17 @@ class Device:
 
     def submit_demand(self, cohorts, t, write=False, not_before=0, cb=None) -> Handle:
         """Reserve slots now; returns a handle with done_t already known.
-        Cohorts transition to INFLIGHT immediately."""
+        Cohorts go in flight immediately."""
         pages = sum(c.hi - c.lo for c in cohorts)
         if pages == 0:
-            return Handle(0, 0, done_t=t)
+            return Handle(0, done_t=t)
         batch = self.profile.batch_pages
         chunks = ([(cohorts, pages)] if pages <= batch
                   else _chunk(cohorts, batch, self.model.extract))
-        handle = Handle(pages, len(chunks))
+        handle = Handle(len(chunks))
         last_done = 0   # of this submission: other slots may hold later IO
         for chunk, n in chunks:
-            req = Request(DEMAND, write, chunk, n, handle, cb,
-                          DRAM if write else FLASH)
+            req = Request(DEMAND, write, chunk, n, handle, cb)
             for c in chunk:
                 c.io = req
             slot = self._least_busy_slot()
@@ -174,11 +169,11 @@ class Device:
     def _start(self, req, slot, start):
         """Start req in `slot` at `start`: its cohorts go in flight and its
         completion is scheduled. Returns the done time."""
-        direction = TO_FLASH if req.write else TO_DRAM
+        tier = TO_FLASH if req.write else TO_DRAM
         for c in req.cohorts:
             if c.owner is not None:
                 c.owner.remove(c)
-            self.model.transition(c, INFLIGHT, direction)
+            self.model.transition(c, tier)
         svc = service_time_us(self.profile, req.pages, req.write)
         done = start + svc
         self._busy[slot] = done
@@ -199,19 +194,18 @@ class Device:
         write = klass == EVICT
         pages = sum(c.hi - c.lo for c in cohorts)
         if pages == 0:
-            return Handle(0, 0, done_t=t)
+            return Handle(0, done_t=t)
         batch = self.profile.batch_pages
         chunks = ([(cohorts, pages)] if pages <= batch
                   else _chunk(cohorts, batch, self.model.extract))
-        handle = Handle(pages, len(chunks))
-        src = INFLIGHT if write else FLASH
+        handle = Handle(len(chunks))
         for chunk, n in chunks:
-            req = Request(klass, write, chunk, n, handle, cb, src)
+            req = Request(klass, write, chunk, n, handle, cb)
             for c in chunk:
                 if write:
                     if c.owner is not None:
                         c.owner.remove(c)
-                    self.model.transition(c, INFLIGHT, TO_FLASH)
+                    self.model.transition(c, TO_FLASH)
                 c.io = req
             self._queues[klass].append(req)
         self._dispatch(t)
@@ -231,9 +225,12 @@ class Device:
             slot = self._least_busy_slot()
             if self._busy[slot] > t:
                 return
-            # re-validate: drop cohorts whose state moved on while queued
+            # re-validate: drop cohorts whose state moved on while queued;
+            # evict victims went in flight at submit, prefetch sources wait
+            # on flash
+            src = TO_FLASH if req.write else FLASH
             live = [c for c in req.cohorts
-                    if c.tier == req.src_tier and c.io is req and c.ctx.alive]
+                    if c.tier == src and c.io is req and c.ctx.alive]
             req.cohorts = live
             req.pages = sum(c.hi - c.lo for c in live)
             if req.pages == 0:
@@ -257,7 +254,7 @@ class Device:
             if c.io is not req:
                 continue
             c.io = None
-            if c.tier != INFLIGHT:
+            if c.tier == DEAD:
                 continue  # context torn down mid-flight
             if req.write:
                 self.model.transition(c, FLASH)

@@ -24,7 +24,8 @@ sweep point holds about 5,100 cohorts, and a trace-rw context at most 8,192
 pages. A workload that puts hundreds of thousands of cohorts in one context
 needs a blocked or tree index here instead.
 
-Tier states: DRAM, FLASH, INFLIGHT (with direction), DEAD after teardown.
+Tier states: DRAM, FLASH, TO_DRAM (a read in flight that holds its frame),
+TO_FLASH (a write-back in flight), DEAD after teardown.
 Census identity: dram + flash + inflight == total allocated, always.
 Pages are born dirty (their first content has never been written back).
 """
@@ -37,19 +38,18 @@ PAGE_BYTES = 4096
 
 DRAM = 0
 FLASH = 1
-INFLIGHT = 2
+TO_DRAM = 2     # in flight: demand or prefetch read
 DEAD = 3
+TO_FLASH = 4    # in flight: write-back
 
-TO_DRAM = 0   # inflight direction: fill / demand read / prefetch read
-TO_FLASH = 1  # inflight direction: eviction write-back
-
-TIER_NAMES = {DRAM: "dram", FLASH: "flash", INFLIGHT: "inflight", DEAD: "dead"}
+TIER_NAMES = {DRAM: "dram", FLASH: "flash", TO_DRAM: "to-dram",
+              TO_FLASH: "to-flash", DEAD: "dead"}
 
 
 class Cohort:
     __slots__ = (
         "ctx", "lo", "hi", "tier", "dirty", "freq", "level", "expire",
-        "dir", "io", "prev", "next", "owner", "prefetched",
+        "io", "prev", "next", "owner", "prefetched",
     )
 
     def __init__(self, ctx, lo, hi, tier, dirty):
@@ -61,7 +61,6 @@ class Cohort:
         self.freq = 0
         self.level = 0
         self.expire = 0
-        self.dir = None
         self.io = None          # pending/in-flight device request, if any
         self.prev = None
         self.next = None
@@ -170,14 +169,13 @@ class PageList:
 
 
 class Context:
-    __slots__ = ("cid", "alive", "pages", "starts", "total", "resident")
+    __slots__ = ("cid", "alive", "pages", "starts", "resident")
 
     def __init__(self, cid):
         self.cid = cid
         self.alive = True
         self.pages = {}          # first page -> Cohort
         self.starts = []         # the keys of `pages`, ascending
-        self.total = 0
         self.resident = 0        # DRAM pages held by this context
 
 
@@ -253,7 +251,6 @@ class MemoryModel:
         c = Cohort(ctx, lo, hi, tier, dirty)
         pages[lo] = c
         starts.insert(j, lo)
-        ctx.total += n
         self.total += n
         if tier == DRAM:
             self.dram_used += n
@@ -280,9 +277,9 @@ class MemoryModel:
 
     # -- tier transitions --------------------------------------------------
 
-    def transition(self, c: Cohort, tier: int, direction=None):
+    def transition(self, c: Cohort, tier: int):
         n = c.hi - c.lo
-        if c.tier == tier and c.dir == direction:
+        if c.tier == tier:
             return
         # leave old tier
         if c.tier == DRAM:
@@ -290,10 +287,11 @@ class MemoryModel:
             c.ctx.resident -= n
         elif c.tier == FLASH:
             self.flash_used -= n
-        elif c.tier == INFLIGHT:
+        elif c.tier == TO_DRAM:
             self.inflight -= n
-            if c.dir == TO_DRAM:
-                self.inflight_in -= n
+            self.inflight_in -= n
+        elif c.tier == TO_FLASH:
+            self.inflight -= n
         else:
             raise SimulationError("transition from DEAD cohort")
         # enter new tier
@@ -302,22 +300,17 @@ class MemoryModel:
                 raise SimulationError("DRAM overcommit on transition")
             self.dram_used += n
             c.ctx.resident += n
-            c.dir = None
         elif tier == FLASH:
             self.flash_used += n
-            c.dir = None
-        elif tier == INFLIGHT:
-            if direction not in (TO_DRAM, TO_FLASH):
-                raise SimulationError("inflight transition needs a direction")
+        elif tier == TO_DRAM:
+            if self.dram_used + self.inflight_in + n > self.dram_pages:
+                raise SimulationError("DRAM frame overcommit on inbound IO")
             self.inflight += n
-            if direction == TO_DRAM:
-                if self.dram_used + self.inflight_in + n > self.dram_pages:
-                    raise SimulationError("DRAM frame overcommit on inbound IO")
-                self.inflight_in += n
-            c.dir = direction
+            self.inflight_in += n
+        elif tier == TO_FLASH:
+            self.inflight += n
         elif tier == DEAD:                  # released for good
             self.total -= n
-            c.ctx.total -= n
         else:
             raise SimulationError("bad tier")
         c.tier = tier
@@ -338,7 +331,7 @@ class MemoryModel:
         ctx = c.ctx
         out = Cohort(ctx, lo, hi, c.tier, c.dirty)
         out.freq, out.level, out.expire = c.freq, c.level, c.expire
-        out.dir, out.prefetched = c.dir, c.prefetched
+        out.prefetched = c.prefetched
         pages = ctx.pages
         pages[lo] = out
         lst = c.owner
@@ -358,7 +351,7 @@ class MemoryModel:
         else:
             right = Cohort(ctx, hi, c.hi, c.tier, c.dirty)
             right.freq, right.level, right.expire = c.freq, c.level, c.expire
-            right.dir, right.prefetched = c.dir, c.prefetched
+            right.prefetched = c.prefetched
             c.hi = lo
             pages[hi] = right
             starts = ctx.starts
@@ -422,10 +415,11 @@ class MemoryModel:
                     ctx_resident += n
                 elif c.tier == FLASH:
                     flash += n
-                elif c.tier == INFLIGHT:
+                elif c.tier == TO_DRAM:
                     inflight += n
-                    if c.dir == TO_DRAM:
-                        inflight_in += n
+                    inflight_in += n
+                elif c.tier == TO_FLASH:
+                    inflight += n
                 else:
                     raise SimulationError(f"DEAD cohort reachable: {c}")
             if ctx_resident != ctx.resident:

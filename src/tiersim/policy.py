@@ -10,7 +10,7 @@ read when batch=True. access_range is the same walk over one range.
 from functools import partial
 
 from .core import SimulationError
-from .memory import DRAM, FLASH, INFLIGHT, TO_DRAM
+from .memory import DRAM, FLASH, TO_DRAM, TO_FLASH
 from .media import PREFETCH
 
 # Stored in an in-flight prefetched run's `prefetched` field once a fault
@@ -118,28 +118,18 @@ class Policy:
                         piece.dirty = True
                     self._on_hit(ctx, piece, t_now, piece is not c)
                     cur = span
-                elif c.tier == INFLIGHT:
-                    if c.dir == TO_DRAM:
-                        # a read already covers us; share its wait
-                        pages = span - cur
-                        if c.io.klass == PREFETCH:
-                            if c.prefetched is not HIT_IN_FLIGHT:
-                                self.counters["prefetch_hits"] += pages
-                                c.prefetched = HIT_IN_FLIGHT
-                        else:
-                            self.counters["demand_faults"] += pages
-                            self.counters["fault_clusters"] += 1
-                        t_now = max(t_now, c.io.done_t)
-                        cur = span
+                elif c.tier == TO_DRAM:
+                    # a read already covers us; share its wait
+                    pages = span - cur
+                    if c.io.klass == PREFETCH:
+                        if c.prefetched is not HIT_IN_FLIGHT:
+                            self.counters["prefetch_hits"] += pages
+                            c.prefetched = HIT_IN_FLIGHT
                     else:
-                        # victim still draining to flash: block, then refault
-                        self._on_walked(ctx, lo, cur, t0, True)
-                        if done is None:
-                            return t_now, c.io.handle, cur
-                        c.io.handle.wait(partial(
-                            self.walk, ctx, [(cur, hi)] + ranges[i + 1:],
-                            batch=batch, write=write, done=done))
-                        return
+                        self.counters["demand_faults"] += pages
+                        self.counters["fault_clusters"] += 1
+                    t_now = max(t_now, c.io.done_t)
+                    cur = span
                 elif c.tier == FLASH:
                     run_end = span if batch else cur + 1
                     pieces = [self.model.extract(c, cur, run_end)]
@@ -164,6 +154,15 @@ class Policy:
                     self.counters["fault_clusters"] += 1
                     t_now = read.done_t
                     cur = run_end
+                elif c.tier == TO_FLASH:
+                    # victim still draining to flash: block, then refault
+                    self._on_walked(ctx, lo, cur, t0, True)
+                    if done is None:
+                        return t_now, c.io.handle, cur
+                    c.io.handle.wait(partial(
+                        self.walk, ctx, [(cur, hi)] + ranges[i + 1:],
+                        batch=batch, write=write, done=done))
+                    return
                 else:
                     raise SimulationError(f"access to dead cohort {c!r}")
             self._on_walked(ctx, lo, hi, t0, False)

@@ -63,12 +63,10 @@ class NoiseSystem:
         self.think_us = think_us
         self.catalog = NoiseCatalog(scale)
         self.contexts = []
-        self.seen = []          # per container, per image: materialized yet?
         for k in range(containers):
             ctx = model.new_context(f"noise-{k}")
             policy.register(ctx)
             self.contexts.append(ctx)
-            self.seen.append([False] * len(self.catalog.images))
         self.requests = 0
         # _step draws rng.randrange(containers), then rng.randrange(images),
         # from rng's output stream directly (with no container it never runs)
@@ -98,8 +96,9 @@ class NoiseSystem:
         ctx = self.contexts[k]
         lo, hi = self.catalog.images[img]
         self.requests += 1
-        if not self.seen[k][img]:
-            self.seen[k][img] = True
+        # an image's first page stays a key of ctx.pages once born: cohorts
+        # never merge and noise contexts are never torn down
+        if lo not in ctx.pages:
             ready = self.policy.on_allocate(ctx, lo, hi, t)
             self._rest(ready)
         else:
@@ -301,7 +300,6 @@ class TraceDriver:
         self.policy = policy
         self.records = records
         self.i = 0
-        self.ctxs = {}
         self.accesses = 0
 
     def start(self):
@@ -310,11 +308,10 @@ class TraceDriver:
 
     def _fire(self, t):
         _, cid, idx, rw = self.records[self.i]
-        ctx = self.ctxs.get(cid)
+        ctx = self.model.contexts.get(cid)
         if ctx is None:
             ctx = self.model.new_context(cid)
             self.policy.register(ctx)
-            self.ctxs[cid] = ctx
         self.accesses += 1
         # every page is born a one-page cohort and cohorts never merge, so
         # each allocated page is a first page: a key of ctx.pages

@@ -3,8 +3,8 @@
 from dataclasses import replace
 
 from tiersim.core import Simulator
-from tiersim.memory import MemoryModel
-from tiersim.media import Device, PROFILES
+from tiersim.memory import MemoryModel, DRAM, FLASH, TO_DRAM, TO_FLASH
+from tiersim.media import Device, PREFETCH, PROFILES
 
 
 def build(dram=256, flash=8192, profile="flash", **overrides):
@@ -39,6 +39,29 @@ def dmx_wheel_is_exact(pol):
     got = [(id(c), key) for key, bucket in pol._expiry.items() for c in bucket]
     return (all(bucket for bucket in pol._expiry.values())
             and len(got) == len(want) and dict(got) == want)
+
+
+def runs_agree_with_their_requests(model):
+    """Every run's tier agrees with its `io`, and each request it names
+    lists it: a run in flight to DRAM has a read's request and one in
+    flight to flash a write's, a DRAM run has none, and a flash run has
+    none or a prefetch still queued (not yet started)."""
+    for ctx in model.contexts.values():
+        for c in ctx.pages.values():
+            io = c.io
+            if c.tier == DRAM:
+                ok = io is None
+            elif c.tier == FLASH:
+                ok = io is None or (io.klass == PREFETCH and io.done_t is None)
+            elif c.tier == TO_DRAM:
+                ok = io is not None and not io.write
+            elif c.tier == TO_FLASH:
+                ok = io is not None and io.write
+            else:
+                ok = False
+            if not ok or (io is not None and c not in io.cohorts):
+                return False
+    return True
 
 
 class RecordingPolicy:

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from helpers import build, dmx_wheel_is_exact, mq_law_holds
+from helpers import (build, dmx_wheel_is_exact, mq_law_holds,
+                     runs_agree_with_their_requests)
 from oracles import LruOracle, percentile_oracle
 from tiersim.acceptance import evaluate
 from tiersim.config import resolve
@@ -167,6 +168,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         rounds += 1
         t = max(t, sim.now) + 1 + rng.randrange(3000)
         while next_tick <= t:
+            assert runs_agree_with_their_requests(m)
             if policy_name == "dmx":
                 _check_dmx_state(pol, ctxs)     # the tick drops every index
             pol.tick(max(next_tick, sim.now))
@@ -218,6 +220,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
                 _check_dmx_state(pol, ctxs)
     sim.drain()
     m.check_full()
+    assert runs_agree_with_their_requests(m)
     if policy_name == "dmx":
         _check_dmx_state(pol, ctxs)
     assert events[0] >= target_events, f"starved at {events[0]} events"

@@ -317,3 +317,10 @@ def test_fork_and_mix_seed_match_the_reference():
             assert g.seed == ref.seed
             assert [g.next_u64() for _ in range(BLOCK + 1)] == \
                    [ref.next_u64() for _ in range(BLOCK + 1)]
+
+
+def test_every_public_name_resolves():
+    import tiersim
+    assert all(hasattr(tiersim, name) for name in tiersim.__all__)
+    assert {"TO_DRAM", "TO_FLASH"} <= set(tiersim.__all__)
+    assert "INFLIGHT" not in tiersim.__all__ and not hasattr(tiersim, "INFLIGHT")

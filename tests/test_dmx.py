@@ -3,7 +3,7 @@ import pytest
 from helpers import build, dmx_wheel_is_exact, mq_law_holds
 from oracles import aged_expiry, victim_order_reference
 from tiersim.core import SimulationError, SplitMix64
-from tiersim.memory import DRAM, FLASH, INFLIGHT, TO_FLASH
+from tiersim.memory import DRAM, FLASH, TO_DRAM, TO_FLASH
 from tiersim.media import EVICT, PREFETCH
 from tiersim.dmx import ACTIVATING, ACTIVE, DORMANT, INDEX_SLACK, DmxPolicy
 from tiersim.workload import walk_ranges
@@ -383,7 +383,7 @@ def test_sleeper_wakes_after_the_first_range_of_a_walk():
                 done=ends.append)
     # woken at the walk's start time, with page 0's read in flight and
     # page 1 not yet touched
-    assert woke == [(0, INFLIGHT, FLASH)]
+    assert woke == [(0, TO_DRAM, FLASH)]
     assert rec.state == ACTIVATING
     assert pol.counters["demand_faults"] == 1
     assert pol.counters["prefetch_issued"] == 63
@@ -480,7 +480,7 @@ def test_touching_a_buffered_victim_waits_for_the_write():
     pol.contexts[ctx].quota = 0
     pol._take_victims(8, 0)
     c = m.lookup(ctx, 3)
-    assert c.tier == INFLIGHT and c.dir == TO_FLASH
+    assert c.tier == TO_FLASH
     _, wait, next_idx = pol.access_range(ctx, 3, 4, 5)
     assert wait is not None and next_idx == 3
     assert pol.counters["demand_evict_waits"] == 1

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import build
 from tiersim.core import SimulationError
-from tiersim.memory import DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH
+from tiersim.memory import DRAM, FLASH, TO_DRAM, TO_FLASH
 from tiersim.media import (
     PROFILES, service_time_us, DEMAND, EVICT, PREFETCH,
 )
@@ -36,7 +36,7 @@ def test_large_read_splits_into_batches():
     c = m.create(ctx, 0, 130, tier=FLASH)
     h = dev.submit_demand([c], 0)
     # 130 pages -> 64 + 64 + 2, all in flight at once on an 8-way device
-    assert h.remaining == 3 and h.pages == 130 and not h.done
+    assert h.remaining == 3 and not h.done
     assert h.done_t == 325
     assert m.census()["inflight"] == 130
     times = []
@@ -113,7 +113,7 @@ def test_evict_dispatches_before_earlier_prefetch():
     dev.submit_demand([c], 0)          # slot busy until 84
     dev.submit_background(PREFETCH, [p], 0)
     dev.submit_background(EVICT, [d], 0)
-    assert d.tier == INFLIGHT and d.dir == TO_FLASH  # buffered at submit
+    assert d.tier == TO_FLASH  # buffered at submit
     sim.drain()
     assert dev.dispatch_log == [(84, EVICT, 0, 1), (288, PREFETCH, 0, 0)]
     for t, klass, evict_q, _ in dev.dispatch_log:
@@ -162,7 +162,7 @@ def test_prefetch_blocks_on_frames_until_eviction_frees_them():
 def test_empty_submissions_complete_inline():
     sim, m, dev = build()
     h = dev.submit_demand([], 7)
-    assert h.done and h.done_t == 7 and h.pages == 0
+    assert h.done and h.done_t == 7
     hb = dev.submit_background(EVICT, [], 7)
     assert hb.done
     with pytest.raises(SimulationError):

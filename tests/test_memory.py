@@ -4,7 +4,7 @@ import pytest
 
 from tiersim.core import SimulationError
 from tiersim.memory import (
-    MemoryModel, PageList, Cohort, DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH,
+    MemoryModel, PageList, Cohort, DRAM, FLASH, TO_DRAM, TO_FLASH,
 )
 
 
@@ -18,7 +18,7 @@ def test_fresh_allocation_census():
     m.create(ctx, 0, 10)
     assert m.census() == {"dram": 10, "flash": 0, "inflight": 0, "total": 10}
     assert m.free_frames() == 90
-    assert ctx.resident == 10 and ctx.total == 10
+    assert ctx.resident == 10
 
 
 def test_capacity_exhaustion_aborts():
@@ -54,7 +54,7 @@ def test_inflight_census_and_frame_hold():
     m = model()
     ctx = m.new_context("a")
     c = m.create(ctx, 0, 16, tier=FLASH)
-    m.transition(c, INFLIGHT, TO_DRAM)
+    m.transition(c, TO_DRAM)
     assert m.census() == {"dram": 0, "flash": 0, "inflight": 16, "total": 16}
     # inbound IO reserves its destination frames
     assert m.free_frames() == 84
@@ -68,7 +68,7 @@ def test_outbound_inflight_frees_frames_immediately():
     ctx = m.new_context("a")
     c = m.create(ctx, 0, 16)
     assert m.free_frames() == 84
-    m.transition(c, INFLIGHT, TO_FLASH)
+    m.transition(c, TO_FLASH)
     assert m.free_frames() == 100
     assert ctx.resident == 0
     m.transition(c, FLASH)
@@ -79,17 +79,17 @@ def test_same_tier_same_direction_transition_is_noop():
     m = model()
     ctx = m.new_context("a")
     c = m.create(ctx, 0, 8)
-    m.transition(c, INFLIGHT, TO_FLASH)
+    m.transition(c, TO_FLASH)
     before = m.census()
-    m.transition(c, INFLIGHT, TO_FLASH)
-    assert m.census() == before and c.dir == TO_FLASH
+    m.transition(c, TO_FLASH)
+    assert m.census() == before and c.tier == TO_FLASH
 
 
-def test_inflight_transition_requires_direction():
+def test_unknown_tier_is_rejected():
     m = model()
     c = m.create(m.new_context("a"), 0, 1)
-    with pytest.raises(SimulationError):
-        m.transition(c, INFLIGHT)
+    with pytest.raises(SimulationError, match="bad tier"):
+        m.transition(c, 7)
 
 
 def test_extract_prefix_suffix_interior_and_identity():
@@ -267,18 +267,18 @@ def test_a_colliding_create_writes_nothing():
     m = model()
     ctx = m.new_context("a")
     m.create(ctx, 10, 20)
-    before = (m.census(), m.inflight_in, ctx.total, ctx.resident, m.free_frames())
+    before = (m.census(), m.inflight_in, ctx.resident, m.free_frames())
     for lo, hi, page in [(5, 15, 10), (15, 25, 15), (0, 30, 10), (10, 20, 10)]:
         with pytest.raises(SimulationError, match=f"page {page} already allocated"):
             m.create(ctx, lo, hi)
         assert all(m.lookup(ctx, i) is None for i in range(0, 10))
         assert all(m.lookup(ctx, i) is None for i in range(20, 30))
-        assert (m.census(), m.inflight_in, ctx.total, ctx.resident,
+        assert (m.census(), m.inflight_in, ctx.resident,
                 m.free_frames()) == before
         assert list(ctx.pages) == list(ctx.starts) == [10]
         m.check_full()
     with pytest.raises(SimulationError, match="DRAM or FLASH"):
-        m.create(ctx, 0, 5, tier=INFLIGHT)
+        m.create(ctx, 0, 5, tier=TO_DRAM)
     assert m.lookup(ctx, 0) is None and m.census() == before[0]
     m.check_full()
 

@@ -5,7 +5,7 @@ import pytest
 from helpers import build
 from tiersim.dmx import DmxPolicy
 from tiersim.media import service_time_us
-from tiersim.memory import DRAM, FLASH, INFLIGHT, TO_DRAM, TO_FLASH
+from tiersim.memory import DRAM, FLASH, TO_DRAM, TO_FLASH
 from tiersim.swap import SwapPolicy
 from tiersim.workload import walk_ranges
 
@@ -79,7 +79,7 @@ def test_walk_calls_each_hook_once_per_piece_cluster_and_read(policy_cls):
     # its read in flight and calls no hook
     pol.access_range(ctx, 8, 16, 40, batch=True)
     assert calls == [("_make_room", 8)]
-    assert m.lookup(ctx, 9).tier == INFLIGHT and m.lookup(ctx, 9).dir == TO_DRAM
+    assert m.lookup(ctx, 9).tier == TO_DRAM
     pol.access_range(ctx, 9, 11, 41)
     assert calls == [("_make_room", 8)]
     # unbatched: one cluster per page
@@ -109,7 +109,7 @@ def test_dmx_window_counts_each_walked_page_once():
     rec = pol.contexts[ctx]
     rec.quota = 4
     pol._take_victims(4, 1)                         # so [4, 8) drains
-    assert m.lookup(ctx, 4).tier == INFLIGHT and m.lookup(ctx, 4).dir == TO_FLASH
+    assert m.lookup(ctx, 4).tier == TO_FLASH
     pol.access_range(ctx, 8, 12, 1, batch=True)     # a read in flight
     before = rec.window_count
     ends = []

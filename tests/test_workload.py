@@ -493,7 +493,7 @@ def test_a_replay_keeps_every_page_a_first_page(policy_cls):
     sim.run(records[-1][0])
     sim.drain()
     assert pol.counters["demand_faults"] > 0 and pol.counters["evictions"] > 0
-    for cid, ctx in driver.ctxs.items():
+    for cid, ctx in m.contexts.items():
         born = {idx for _, c, idx, _ in records if c == cid}
         assert sorted(ctx.pages) == sorted(born) == list(ctx.starts)
         assert all(c.hi == c.lo + 1 for c in ctx.pages.values())
@@ -509,7 +509,7 @@ def test_driver_replays_in_timestamp_order(tmp_path):
     sim.run(20)
     sim.drain()
     assert driver.accesses == 3
-    assert sorted(driver.ctxs) == ["c1", "c2"]
+    assert sorted(m.contexts) == ["c1", "c2"]
     assert m.census()["total"] == 2
     assert pol.counters["demand_faults"] == 0  # first refs are births
 
@@ -523,7 +523,7 @@ def _replay(records, log_to):
         sim.run(records[-1][0])
     sim.drain()
     tiers = {}
-    for cid, ctx in driver.ctxs.items():
+    for cid, ctx in m.contexts.items():
         for c in ctx.pages.values():
             for idx in range(c.lo, c.hi):
                 tiers[(cid, idx)] = c.tier
