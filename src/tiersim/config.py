@@ -139,9 +139,12 @@ def validate(cfg):
         raise ConfigError("containers: list must be strictly increasing")
     if cs[0] < 0:
         raise ConfigError("containers: counts must be non-negative")
-    if cfg["duration_s"] <= cfg["warmup_s"]:
+    if cfg["warmup_s"] < 0:
+        raise ConfigError("warmup_s must be non-negative")
+    if micros(cfg["duration_s"]) <= micros(cfg["warmup_s"]):
         raise ConfigError(
-            f"duration_s={cfg['duration_s']} must exceed warmup_s={cfg['warmup_s']}")
+            f"duration_s={cfg['duration_s']} must exceed warmup_s="
+            f"{cfg['warmup_s']} once both are rounded to whole microseconds")
     for key, (_, _, least) in DEFAULTS.items():
         if least is not None and cfg[key] is not None and cfg[key] < least:
             raise ConfigError(
@@ -156,6 +159,11 @@ def validate(cfg):
         raise ConfigError("dmx.alpha must be in (0, 1]")
     if not (0.0 <= cfg["dmx.reserve_frac"] < 1.0):
         raise ConfigError("dmx.reserve_frac must be in [0, 1)")
+
+
+def micros(seconds):
+    """A run length in seconds as the whole microseconds a run lasts."""
+    return round(seconds * 1_000_000)
 
 
 def _hot_weights_finite(hot_records, skew):

@@ -15,27 +15,22 @@ Aging: a tick at t re-arms every run whose expiry is at or below its
 cutoff, (t // window) * window, to t + lifetime, demoting it one level on
 the way. A run's stored `expire` is the value it was last armed with (on
 landing, on a touch, or by a demotion). A level-0 run at freq 1 has nothing
-to demote, so ticks leave it alone and its effective expiry (the one the
-eager rule would give) is derived from the stored one when read (see
-AgingLog). The expiry wheel holds only the runs a tick can demote or reset,
+to demote or reset, so aging leaves it alone and nothing reads its stored
+expiry. The expiry wheel holds only the runs a tick can demote or reset,
 those with level > 0 or freq != 1: each listed one once, in the bucket of
-its expiry window. A sweep therefore visits only runs that demote. A
-touched run moves to the bucket of its new expiry; a run demoted to level
-0, evicted or torn down leaves the wheel. So the wheel stays at one entry
-per such run even when no tick runs.
+its expiry window. A sweep therefore visits only runs that demote, and
+ages each of them exactly. A touched run moves to the bucket of its new
+expiry; a run demoted to level 0, evicted or torn down leaves the wheel. So
+the wheel stays at one entry per such run even when no tick runs.
 
-Victim order: most-over-quota context first, then lowest level, lowest
-freq, expired runs before live ones, lowest page index; runs with IO
-pending are skipped. Each context keeps a victim index across selections
-(see VictimIndex): a heap in that order plus a heap of expiry times. Every
-change to a listed run's level, freq, expiry or first page is noted as it
-happens, and the next selection re-keys just those runs, so taking k
-victims costs O((k + changed runs) log n) instead of a sort of the whole
-level. Each tick moves the effective expiry of every idle level-0 run, too
-many changes to note one by one: it drops every index, and the next
-selection rebuilds one in O(resident runs). Clean victims drop with no IO;
-dirty ones ride the buffered background write class, so a frame shortfall
-on the fault path is covered instantly and never waits out a media write.
+Victim order: most-over-quota context first; within a context, each level
+list is in MQ's LRU order (Zhou, Philbin and Li, USENIX ATC 2001), so the
+victims are the heads of the lowest non-empty level, then the next level's,
+skipping runs with IO pending. A run joins the tail of its level when it
+lands, when a touch hits it (promoted or not) and when aging demotes it.
+Clean victims drop with no IO; dirty ones ride the buffered background
+write class, so a frame shortfall on the fault path is covered instantly
+and never waits out a media write.
 
 A context whose activity score stays under the dormancy threshold for
 enough consecutive windows is snapshotted (its hottest resident runs, up
@@ -48,29 +43,14 @@ re-arm a hit run, take victims for a fault cluster, enqueue landed reads
 and count walked pages toward the activity window.
 """
 
-from bisect import bisect_left
-from collections import deque
-from heapq import heapify, heappop, heappush
-from operator import attrgetter
-
 from .core import SimulationError
 from .memory import DRAM, FLASH, PageList
 from .media import EVICT, PREFETCH
 from .policy import HIT_IN_FLIGHT, Policy
 
-# After a selection a victim index may hold this many heap and wheel
-# entries per listed run, plus INDEX_SLACK, before it is dropped and rebuilt
-# at the next selection. Its `changed` runs are all listed, so it never
-# holds more than (INDEX_ENTRIES_PER_RUN + 1) entries per listed run plus
-# the slack.
-INDEX_ENTRIES_PER_RUN = 3
-INDEX_SLACK = 64
-
 ACTIVE = "active"
 DORMANT = "dormant"
 ACTIVATING = "activating"
-
-_cohorts = attrgetter("cohorts")
 
 
 def _over_quota_order(rec):
@@ -80,12 +60,11 @@ def _over_quota_order(rec):
 
 
 class DmxContext:
-    """dmx's state for one registered context. Its victim index is None until
-    a selection builds one, and every tick drops it. `key`, the context id as
-    a string, breaks ties between contexts in victim order."""
+    """dmx's state for one registered context. `key`, the context id as a
+    string, breaks ties between contexts in victim order."""
 
     __slots__ = ("ctx", "key", "levels", "quota", "score", "window_count",
-                 "low_windows", "state", "hot_set", "index")
+                 "low_windows", "state", "hot_set")
 
     def __init__(self, ctx, levels):
         self.ctx = ctx
@@ -97,144 +76,6 @@ class DmxContext:
         self.low_windows = 0
         self.state = ACTIVE
         self.hot_set = None
-        self.index = None
-
-
-class AgingLog:
-    """Every tick's cutoff and re-arm value, so that level-0 runs age lazily.
-
-    A tick at t re-arms each run whose expiry is at or below its cutoff,
-    (t // window) * window, to t + lifetime. A level-0 run at freq 1 keeps
-    the expiry it was last armed with, and `aged` works out the one it would
-    carry had every tick re-armed it: from the first tick whose cutoff
-    reaches the stored expiry, take that tick's re-arm value, move on to the
-    first later tick whose cutoff reaches that value, and so on. `to` maps
-    each tick to the last tick of its chain so far (path-compressed); `open`
-    lists the ticks that still end a chain, oldest first. Once one chain is
-    left, every expiry at or below the last cutoff ages to the last re-arm
-    value, and the log keeps that last tick alone; that always holds when
-    lifetime <= window, so the log then stays at one entry.
-
-    Armings and ticks must come in time order, as they do in a run, so that
-    a run armed after a tick holds an expiry above that tick's cutoff.
-    """
-
-    __slots__ = ("last_cutoff", "cutoffs", "rearms", "to", "open")
-
-    def __init__(self):
-        self.last_cutoff = -1       # below every expiry: nothing to age yet
-        self.cutoffs = []
-        self.rearms = []
-        self.to = []
-        self.open = deque()
-
-    def record(self, cutoff, rearm):
-        rearms = self.rearms
-        if rearms and rearm < rearms[-1]:
-            raise SimulationError("dmx tick earlier than the previous one")
-        k = len(rearms)
-        self.cutoffs.append(cutoff)
-        rearms.append(rearm)
-        to = self.to
-        to.append(k)
-        chains = self.open
-        while chains and rearms[chains[0]] <= cutoff:
-            to[chains.popleft()] = k
-        chains.append(k)
-        self.last_cutoff = cutoff
-        if k and len(chains) == 1:
-            # every earlier chain ends at this tick: keep it alone
-            self.cutoffs = [cutoff]
-            self.rearms = [rearm]
-            self.to = [0]
-            chains[0] = 0
-
-    def aged(self, expire):
-        """The effective expiry of a run stored with expire <= last_cutoff."""
-        if len(self.open) == 1:
-            return self.rearms[-1]
-        to = self.to
-        k = bisect_left(self.cutoffs, expire)
-        root = to[k]
-        while to[root] != root:
-            root = to[root]
-        while to[k] != root:
-            to[k], k = root, to[k]
-        return self.rearms[root]
-
-
-class VictimIndex:
-    """One context's listed runs in victim order, kept between selections.
-
-    `heap` holds (level, freq, live, lo, seq, cohort) entries; live is False
-    once the run's effective expiry (see AgingLog) has passed, so expired
-    runs come first within a (level, freq) group. An entry is stale, and
-    skipped when popped, once its run has left the level lists or changed
-    level, freq or lo. The policy records each such change in `changed`;
-    `catch_up` pushes fresh entries for those runs. `wheel` holds (effective
-    expiry, seq, cohort) for every run pushed as live, so `catch_up` can
-    push the runs whose expiry has passed again as expired. No tick falls
-    within an index's life (the tick drops every index), so a run's
-    effective expiry changes only when the run is re-armed. A selection at
-    an earlier time than the last one may pop an expired claim that no
-    longer holds; the selection re-pushes that run as live.
-    """
-
-    __slots__ = ("heap", "wheel", "changed", "seq", "aging")
-
-    def __init__(self, levels, t, aging):
-        heap, wheel = [], []
-        seq = 0
-        cutoff = aging.last_cutoff
-        for level, plist in enumerate(levels):
-            c = plist.head
-            while c is not None:
-                e = c.expire
-                if e <= cutoff:
-                    e = aging.aged(e)
-                live = e > t
-                heap.append((level, c.freq, live, c.lo, seq, c))
-                if live:
-                    wheel.append((e, seq, c))
-                seq += 1
-                c = c.next
-        heapify(heap)
-        heapify(wheel)
-        self.heap = heap
-        self.wheel = wheel
-        self.changed = {}       # runs re-keyed since the last selection
-        self.seq = seq
-        self.aging = aging
-
-    def push(self, c, t):
-        seq = self.seq
-        self.seq = seq + 1
-        e = c.expire
-        if e <= self.aging.last_cutoff:
-            e = self.aging.aged(e)
-        live = e > t
-        heappush(self.heap, (c.level, c.freq, live, c.lo, seq, c))
-        if live:
-            heappush(self.wheel, (e, seq, c))
-
-    def catch_up(self, t):
-        for c in self.changed:
-            self.push(c, t)
-        self.changed.clear()
-        wheel = self.wheel
-        aging = self.aging
-        while wheel and wheel[0][0] <= t:
-            expire, _, c = heappop(wheel)
-            if c.owner is None:
-                continue
-            e = c.expire
-            if e <= aging.last_cutoff:
-                e = aging.aged(e)
-            if e == expire:
-                self.push(c, t)
-
-    def size(self):
-        return len(self.heap) + len(self.wheel) + len(self.changed)
 
 
 class DmxPolicy(Policy):
@@ -255,7 +96,6 @@ class DmxPolicy(Policy):
         self.reserve = int(model.dram_pages * reserve_frac)
         self.contexts = {}            # Context -> DmxContext, registration order
         self._expiry = {}             # window index -> {cohort: None}
-        self._aging = AgingLog()
         self.counters.update(prefetch_landed=0, demand_evict_waits=0,
                              emergency_reclaims=0)
 
@@ -291,21 +131,18 @@ class DmxPolicy(Policy):
             del self._expiry[key]
 
     def _enqueue(self, ctx, c, t):
-        rec = self.contexts[ctx]
         c.level = 0
         c.freq = 1
         c.expire = t + self.lifetime_us
-        rec.levels[0].append(c)
-        if rec.index is not None:
-            rec.index.changed[c] = None
+        self.contexts[ctx].levels[0].append(c)
 
     def _on_hit(self, ctx, c, t, split):
-        """Credit a prefetch, count a touch of c at t and re-arm it. `split`
-        says c was just cut off a larger run, so it holds no wheel entry yet."""
+        """Credit a prefetch, count a touch of c at t, re-arm it and move it
+        to the tail of its (maybe new) level. `split` says c was just cut
+        off a larger run, so it holds no wheel entry yet."""
         if c.prefetched:
             self.counters["prefetch_hits"] += c.hi - c.lo
             c.prefetched = False
-        rec = self.contexts[ctx]
         expire = t + self.lifetime_us
         window = self.window_us
         level = c.level
@@ -323,24 +160,20 @@ class DmxPolicy(Policy):
                 level += 1
             c.owner.remove(c)
             c.level = level
-            rec.levels[level].append(c)
+            self.contexts[ctx].levels[level].append(c)
+        else:
+            c.owner.move_to_tail(c)
         c.expire = expire
         if not stays:                           # else its bucket is unchanged
             self._wheel_add(c)
-        if rec.index is not None:
-            rec.index.changed[c] = None
 
     def _on_split(self, ctx, c, span, end):
-        # the hit piece itself is re-keyed by _on_hit
-        if c.lo != span:                        # else the hit took c's head
-            if span == end:
-                return                          # the hit took c's tail
-            c = ctx.pages[span]                 # the new right part
-            if c.level or c.freq != 1:
-                self._wheel_add(c)
-        index = self.contexts[ctx].index
-        if index is not None:
-            index.changed[c] = None
+        """An interior hit leaves a new right part [span, end) aging as c
+        did; the hit piece itself is re-armed by _on_hit."""
+        if c.lo != span and span != end:
+            right = ctx.pages[span]
+            if right.level or right.freq != 1:
+                self._wheel_add(right)
 
     def _on_walked(self, ctx, lo, end, t, waited):
         """The walked pages [lo, end) count toward the window (no tick runs
@@ -359,9 +192,6 @@ class DmxPolicy(Policy):
     def _expire_sweep(self, t):
         idx = t // self.window_us
         rearm = t + self.lifetime_us
-        self._aging.record(idx * self.window_us, rearm)
-        for rec in self.contexts.values():
-            rec.index = None            # effective expiries moved: rebuild
         wheel = self._expiry
         for key in sorted(k for k in wheel if k <= idx):
             for c in wheel.pop(key):
@@ -425,48 +255,27 @@ class DmxPolicy(Policy):
     # -- eviction ----------------------------------------------------------
 
     def _victims_from(self, rec, allow, t, dirty_out):
-        aging = self._aging
-        index = rec.index
-        if index is None:
-            index = rec.index = VictimIndex(rec.levels, t, aging)
-        else:
-            index.catch_up(t)
-        heap = index.heap
-        held = []
+        """Take up to `allow` pages from the heads of rec's level lists,
+        lowest level first, skipping runs with IO pending; a run that holds
+        more than the rest of `allow` gives up its first pages."""
         taken = 0
-        while taken < allow and heap:
-            entry = heappop(heap)
-            level, freq, live, lo, _, c = entry
-            if (c.owner is None or c.lo != lo or c.freq != freq
-                    or c.level != level):
-                continue                    # stale
-            e = c.expire
-            if e <= aging.last_cutoff:
-                e = aging.aged(e)
-            if live != (e > t):
-                index.push(c, t)            # claimed at another t
-                continue
-            if c.io is not None:
-                held.append(entry)          # skipped this time only
-                continue
-            take = min(c.hi - c.lo, allow - taken)
-            piece = self.model.extract(c, c.lo, c.lo + take)
-            piece.owner.remove(piece)
-            if piece is not c:
-                index.push(c, t)            # c keeps the rest of the run
-            elif c.level or c.freq != 1:
-                self._wheel_drop(c)
-            taken += take
-            if piece.dirty:
-                dirty_out.append(piece)
-            else:
-                self.model.transition(piece, FLASH)
-                self._on_evicted(None, (piece,), t)     # out now, no write
-        for entry in held:
-            heappush(heap, entry)
-        listed = sum(map(_cohorts, rec.levels))
-        if len(heap) + len(index.wheel) > INDEX_ENTRIES_PER_RUN * listed + INDEX_SLACK:
-            rec.index = None
+        for plist in rec.levels:
+            for c in plist:
+                if taken == allow:
+                    return taken
+                if c.io is not None:
+                    continue
+                take = min(c.hi - c.lo, allow - taken)
+                piece = self.model.extract(c, c.lo, c.lo + take)
+                piece.owner.remove(piece)
+                if piece is c and (c.level or c.freq != 1):
+                    self._wheel_drop(c)
+                taken += take
+                if piece.dirty:
+                    dirty_out.append(piece)
+                else:
+                    self.model.transition(piece, FLASH)
+                    self._on_evicted(None, (piece,), t)     # out now, no write
         return taken
 
     def _take_victims(self, need, t):

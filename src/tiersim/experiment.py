@@ -62,8 +62,8 @@ def _stack(cfg, policy_name, device_name, events_path):
 def run_point(cfg, policy_name, device_name, containers,
               events_path=None, accesses_path=None):
     run_seed = mix_seed(cfg["seed"], containers)
-    duration_us = round(cfg["duration_s"] * 1_000_000)
-    warmup_us = round(cfg["warmup_s"] * 1_000_000)
+    duration_us = configmod.micros(cfg["duration_s"])
+    warmup_us = configmod.micros(cfg["warmup_s"])
     sim, model, policy = _stack(cfg, policy_name, device_name, events_path)
     if accesses_path is not None:
         policy.access_log = []

@@ -278,41 +278,44 @@ class MemoryModel:
     # -- tier transitions --------------------------------------------------
 
     def transition(self, c: Cohort, tier: int):
+        """Move run c to `tier`, or raise and change nothing."""
         n = c.hi - c.lo
-        if c.tier == tier:
+        old = c.tier
+        if old == tier:
             return
+        if old == DEAD:
+            raise SimulationError("transition from DEAD cohort")
+        if tier not in TIER_NAMES:
+            raise SimulationError("bad tier")
+        if tier == DRAM and self.dram_used + n > self.dram_pages:
+            raise SimulationError("DRAM overcommit on transition")
+        if (tier == TO_DRAM and old != DRAM     # else c already holds its frames
+                and self.dram_used + self.inflight_in + n > self.dram_pages):
+            raise SimulationError("DRAM frame overcommit on inbound IO")
         # leave old tier
-        if c.tier == DRAM:
+        if old == DRAM:
             self.dram_used -= n
             c.ctx.resident -= n
-        elif c.tier == FLASH:
+        elif old == FLASH:
             self.flash_used -= n
-        elif c.tier == TO_DRAM:
+        elif old == TO_DRAM:
             self.inflight -= n
             self.inflight_in -= n
-        elif c.tier == TO_FLASH:
+        else:                               # TO_FLASH
             self.inflight -= n
-        else:
-            raise SimulationError("transition from DEAD cohort")
         # enter new tier
         if tier == DRAM:
-            if self.dram_used + n > self.dram_pages:
-                raise SimulationError("DRAM overcommit on transition")
             self.dram_used += n
             c.ctx.resident += n
         elif tier == FLASH:
             self.flash_used += n
         elif tier == TO_DRAM:
-            if self.dram_used + self.inflight_in + n > self.dram_pages:
-                raise SimulationError("DRAM frame overcommit on inbound IO")
             self.inflight += n
             self.inflight_in += n
         elif tier == TO_FLASH:
             self.inflight += n
-        elif tier == DEAD:                  # released for good
+        else:                               # DEAD: released for good
             self.total -= n
-        else:
-            raise SimulationError("bad tier")
         c.tier = tier
 
     # -- splitting ---------------------------------------------------------

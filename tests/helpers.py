@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+from oracles import victim_order_reference
 from tiersim.core import Simulator
 from tiersim.memory import MemoryModel, DRAM, FLASH, TO_DRAM, TO_FLASH
 from tiersim.media import Device, PREFETCH, PROFILES
@@ -39,6 +40,51 @@ def dmx_wheel_is_exact(pol):
     got = [(id(c), key) for key, bucket in pol._expiry.items() for c in bucket]
     return (all(bucket for bucket in pol._expiry.values())
             and len(got) == len(want) and dict(got) == want)
+
+
+def check_selections_in_list_order(pol):
+    """Make every victim selection of dmx policy `pol` compare itself with
+    victim_order_reference taken just before it: it must cut exactly the
+    reference's leading pieces, in order, up to what it was allowed, and
+    take them off the level lists. Returns the dict of counts the checks
+    keep: selections, and selections that cut a run short."""
+    model = pol.model
+    select = pol._victims_from
+    seen = {"selections": 0, "partial": 0}
+
+    def listed_pages(rec):
+        return sum(plist.page_count for plist in rec.levels)
+
+    def checked(rec, allow, t, dirty_out):
+        expect, left = [], allow
+        for c in victim_order_reference(rec.levels):
+            if left == 0:
+                break
+            take = min(c.hi - c.lo, left)
+            expect.append((c.lo, c.lo + take))
+            seen["partial"] += take < c.hi - c.lo
+            left -= take
+        seen["selections"] += 1
+        before = listed_pages(rec)
+        pieces = []
+        extract = model.extract
+
+        def spy(c, lo, hi):
+            pieces.append(extract(c, lo, hi))
+            return pieces[-1]
+
+        model.extract = spy
+        try:
+            got = select(rec, allow, t, dirty_out)
+        finally:
+            del model.extract
+        assert [(p.lo, p.hi) for p in pieces] == expect, (rec.key, t, allow)
+        assert got == allow - left == before - listed_pages(rec)
+        assert all(p.owner is None for p in pieces)
+        return got
+
+    pol._victims_from = checked
+    return seen
 
 
 def runs_agree_with_their_requests(model):

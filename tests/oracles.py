@@ -59,16 +59,17 @@ def aged_expiry(expire, ticks, lifetime, window):
     return expire
 
 
-def victim_order_reference(levels, t, expiry):
-    """dmx victim order at time t by a full sort: level by level, the listed
-    runs with no IO pending, by freq, then expired (expiry(run) <= t) before
-    live, then first page."""
-    order = []
+def victim_order_reference(levels):
+    """dmx victim order within one context, read off its level lists: level
+    by level, lowest first, each from head to tail by following the links,
+    the runs with no IO pending. A generator, so that a check can stop at
+    the runs a selection reaches."""
     for plist in levels:
-        order.extend(sorted(
-            (c for c in plist if c.io is None),
-            key=lambda c: (c.freq, 0 if expiry(c) <= t else 1, c.lo)))
-    return order
+        c = plist.head
+        while c is not None:
+            if c.io is None:
+                yield c
+            c = c.next
 
 
 class splitmix64_reference:

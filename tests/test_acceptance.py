@@ -5,19 +5,22 @@ device) through session fixtures, so this file takes a few minutes; the
 rest are oracle comparisons, an invariant fuzz, and determinism checks.
 """
 
+import os
 import time
 
 import pytest
 
-from helpers import (build, dmx_wheel_is_exact, mq_law_holds,
+from helpers import (build, check_selections_in_list_order,
+                     dmx_wheel_is_exact, mq_law_holds,
                      runs_agree_with_their_requests)
 from oracles import LruOracle, percentile_oracle
 from tiersim.acceptance import evaluate
 from tiersim.config import resolve
 from tiersim.core import SplitMix64
-from tiersim.dmx import INDEX_SLACK, DmxPolicy
+from tiersim.dmx import DmxPolicy
 from tiersim.experiment import run_point, run_sweep
 from tiersim.media import PREFETCH
+from tiersim.memory import DRAM
 from tiersim.metrics import percentile
 from tiersim.swap import SwapPolicy
 
@@ -40,8 +43,11 @@ def disk_sweep(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def flash_checks(tmp_path_factory):
+    # criterion 10 shows that --jobs leaves the bytes unchanged; the disk
+    # sweep stays serial because criterion 1's budget is set for one job
     cfg = resolve(None, {"device": "flash", "policy": "both"})
-    rows = run_sweep(cfg, str(tmp_path_factory.mktemp("flash")), 1)
+    jobs = min(2, len(os.sched_getaffinity(0)))
+    rows = run_sweep(cfg, str(tmp_path_factory.mktemp("flash")), jobs)
     return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"])
 
 
@@ -114,16 +120,20 @@ def test_criterion_08_percentiles_match_the_scan_oracle():
 
 def _check_dmx_state(pol, ctxs):
     """dmx holds a record for exactly the live contexts it registered, in
-    registration order, and none for dead ones; each victim index stays
-    within a constant number of entries per listed run, and the expiry wheel
-    holds each listed run that aging can demote or reset exactly once, in
-    the bucket of its expiry, and nothing else."""
+    registration order, and none for dead ones; its level lists hold
+    exactly each context's DRAM runs, each in the list of its level, so the
+    list-order victim check every selection runs in the fuzz sees every
+    candidate; and the expiry wheel holds each listed run that aging can
+    demote or reset exactly once, in the bucket of its expiry, and nothing
+    else."""
     assert list(pol.contexts) == [ctx for ctx, _ in ctxs if ctx.alive]
     assert all(ctx.alive and rec.ctx is ctx for ctx, rec in pol.contexts.items())
     for ctx, rec in pol.contexts.items():
-        if rec.index is not None:
-            listed = sum(plist.cohorts for plist in rec.levels)
-            assert rec.index.size() <= 4 * listed + INDEX_SLACK, (ctx.cid, listed)
+        listed = {c: level for level, plist in enumerate(rec.levels)
+                  for c in plist}
+        dram = [c for c in ctx.pages.values() if c.tier == DRAM]
+        assert len(listed) == len(dram), ctx.cid
+        assert all(listed.get(c) == c.level for c in dram), ctx.cid
     assert dmx_wheel_is_exact(pol)
 
 
@@ -137,6 +147,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         # contexts through dormancy and prefetched reactivation
         pol = DmxPolicy(m, dev, window_us=50_000, floor_pages=16,
                         alpha=0.7, dormant_windows=2)
+        selections = check_selections_in_list_order(pol)
     events = [0]
 
     def hook():
@@ -170,7 +181,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         while next_tick <= t:
             assert runs_agree_with_their_requests(m)
             if policy_name == "dmx":
-                _check_dmx_state(pol, ctxs)     # the tick drops every index
+                _check_dmx_state(pol, ctxs)
             pol.tick(max(next_tick, sim.now))
             next_tick += 50_000
         if phase_left == 0:
@@ -229,6 +240,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
             assert entry[2] == 0, f"prefetch dispatched past evicts: {entry}"
     counters = pol.snapshot_counters()
     if policy_name == "dmx":
+        assert selections["selections"] > 0
         assert counters["prefetch_issued"] > 0
         assert (counters["prefetch_hits"] + counters["mispredictions"]
                 <= counters["prefetch_issued"])

@@ -53,6 +53,8 @@ _PRESSED = ["--device", "flash", "--containers", "9", "--duration", "2",
     (["--duration", "nan"], None, "duration_s"),
     (["--warmup", "nan"], None, "warmup_s"),
     (["--duration", "inf"], None, "duration_s"),
+    (["--duration", "1", "--warmup", "-5"], None, "warmup_s"),
+    (["--duration", "0.0000001", "--warmup", "0"], None, "duration_s"),
     ([], "critical.draws_per_txn = -1\n", "critical.draws_per_txn"),
     ([], "critical.draws_per_txn = 0\n", "critical.draws_per_txn"),
     ([], "critical.skew = nan\n", "critical.skew"),
@@ -70,7 +72,8 @@ _PRESSED = ["--device", "flash", "--containers", "9", "--duration", "2",
      "device.write_lat_us"),
     (_PRESSED, "mem.dram_pages = 8192\nswap.reclaim_batch = 0\n",
      "swap.reclaim_batch"),
-], ids=["duration-nan", "warmup-nan", "duration-inf", "draws-negative",
+], ids=["duration-nan", "warmup-nan", "duration-inf", "warmup-negative",
+        "duration-under-a-microsecond", "draws-negative",
         "draws-zero", "skew-nan", "skew-171", "skew-400", "max-inflight-zero",
         "bandwidth-zero", "batch-pages-zero", "read-lat-negative",
         "write-lat-negative", "reclaim-batch-zero"])

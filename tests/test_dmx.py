@@ -1,11 +1,12 @@
 import pytest
 
-from helpers import build, dmx_wheel_is_exact, mq_law_holds
-from oracles import aged_expiry, victim_order_reference
-from tiersim.core import SimulationError, SplitMix64
+from helpers import (build, check_selections_in_list_order,
+                     dmx_wheel_is_exact, mq_law_holds)
+from oracles import aged_expiry
+from tiersim.core import SplitMix64
 from tiersim.memory import DRAM, FLASH, TO_DRAM, TO_FLASH
 from tiersim.media import EVICT, PREFETCH
-from tiersim.dmx import ACTIVATING, ACTIVE, DORMANT, INDEX_SLACK, DmxPolicy
+from tiersim.dmx import ACTIVATING, ACTIVE, DORMANT, DmxPolicy
 from tiersim.workload import walk_ranges
 
 
@@ -76,14 +77,6 @@ def test_idle_pages_demote_one_level_per_lifetime():
     assert mq_law_holds(pol)
 
 
-def test_ticks_must_come_in_time_order():
-    sim, m, dev, pol = dmx_stack()
-    pol.register(m.new_context("a"))
-    pol.tick(200_000)
-    with pytest.raises(SimulationError):
-        pol.tick(100_000)
-
-
 def test_touch_preempts_demotion():
     sim, m, dev, pol = dmx_stack()
     ctx = pol.register(m.new_context("a"))
@@ -114,25 +107,18 @@ def test_interior_hit_leaves_the_right_piece_aging():
 
 @pytest.mark.parametrize("lifetime_us", [40_000, 100_000, 250_000])
 def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
-    """After each tick, at irregular times, every listed run's level, freq
-    and effective expiry are what an eager sweep gives: a run whose expiry
-    is at or below the tick's cutoff demotes one level, its freq snaps to
-    2^level and it re-arms to t + lifetime."""
+    """After each tick, at irregular times, every listed run's level and
+    freq are what an eager sweep of every run gives: a run whose expiry is
+    at or below the tick's cutoff demotes one level, its freq snaps to
+    2^level and it re-arms to t + lifetime. The sweep skips level-0 runs at
+    freq 1, which it could not change; each run it can change (the wheel
+    holds those) carries the expiry the eager sweep gives it."""
     sim, m, dev, pol = dmx_stack(dram=256, flash=8192, floor_pages=8,
                                  lifetime_us=lifetime_us, window_us=100_000)
-    aging = pol._aging
-
-    def effective(c):
-        if c.expire > aging.last_cutoff:
-            return c.expire
-        seen["split_chains"] += len(aging.open) > 1
-        return aging.aged(c.expire)
-
     rng = SplitMix64(lifetime_us)
     ctxs = [[pol.register(m.new_context(f"c{i}")), 0] for i in range(3)]
-    shadow = {}      # (cid, page) -> eager expiry as of the last tick
     ticks = []
-    seen = {"ticks": 0, "demoted": 0, "level0_rearmed": 0, "split_chains": 0}
+    seen = {"ticks": 0, "demoted": 0, "level0_skipped": 0}
     t = 0
     for step in range(3000):
         t = max(t, sim.now) + rng.randrange(8000)
@@ -152,14 +138,10 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
             cutoff = t // pol.window_us * pol.window_us
             expect = {}
             for c in (c for cx, _ in ctxs for c in _listed(pol, cx)):
-                # a stored expiry above the last cutoff was armed since the
-                # last tick, or belongs to a run the wheel keeps current
-                e = (c.expire if c.expire > aging.last_cutoff
-                     else shadow[(c.ctx.cid, c.lo)])
-                level, freq = c.level, c.freq
+                level, freq, e = c.level, c.freq, c.expire
                 if e <= cutoff:
                     seen["demoted"] += level > 0
-                    seen["level0_rearmed"] += level == 0
+                    seen["level0_skipped"] += level == 0
                     level = max(level - 1, 0)
                     freq, e = 1 << level, t + lifetime_us
                 expect[c] = (level, freq, e)
@@ -168,12 +150,11 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
             seen["ticks"] += 1
             for cx, _ in ctxs:
                 for c in _listed(pol, cx):
-                    e = effective(c)
-                    assert (c.level, c.freq, e) == expect[c], c
-                    assert e == aged_expiry(c.expire, ticks, lifetime_us,
-                                            pol.window_us)
-                    for page in range(c.lo, c.hi):
-                        shadow[(cx.cid, page)] = e
+                    level, freq, e = expect[c]
+                    assert (c.level, c.freq) == (level, freq), c
+                    if c.level or c.freq != 1:
+                        assert c.expire == e == aged_expiry(
+                            c.expire, ticks, lifetime_us, pol.window_us), c
             assert dmx_wheel_is_exact(pol)
         else:
             lo = rng.randrange(pages)
@@ -185,16 +166,6 @@ def test_lazy_aging_matches_an_eager_sweep(lifetime_us):
     m.check_full()
     assert mq_law_holds(pol)
     assert all(n > 20 for n in seen.values()), seen
-
-
-def test_aging_log_keeps_one_entry_when_every_tick_merges_the_chains():
-    sim, m, dev, pol = dmx_stack()        # lifetime == window
-    aging = pol._aging
-    for i in range(1, 10_001):
-        pol.tick(i * pol.window_us)
-        assert len(aging.open) == 1
-    assert len(aging.cutoffs) == len(aging.rearms) == len(aging.to) == 1
-    assert aging.aged(0) == aging.aged(aging.last_cutoff) == 10_001 * pol.window_us
 
 
 # -- quotas ----------------------------------------------------------------
@@ -444,19 +415,34 @@ def test_a_short_first_victim_context_hands_over_in_quota_order():
     m.check_full()
 
 
-def test_victims_leave_lowest_level_first_expired_before_live():
+def test_victims_leave_lowest_level_first_from_the_head():
     sim, m, dev, pol = dmx_stack()
     ctx = pol.register(m.new_context("a"))
-    pol.on_allocate(ctx, 5, 6, 0)              # level 0, expires at 100k
-    pol.on_allocate(ctx, 0, 1, 90_000)         # level 0, expires at 190k
-    pol.on_allocate(ctx, 10, 11, 0)
-    pol.access_range(ctx, 10, 11, 1)           # freq 2, level 1
+    pol.on_allocate(ctx, 5, 6, 0)              # level 0, head
+    pol.on_allocate(ctx, 0, 1, 90_000)         # level 0, behind it
     pol.on_allocate(ctx, 20, 21, 0)
-    pol.access_range(ctx, 20, 21, 1)
-    pol.access_range(ctx, 20, 21, 2)           # freq 3, level 1
+    pol.access_range(ctx, 20, 21, 1)           # freq 2, level 1
+    pol.on_allocate(ctx, 10, 11, 0)
+    pol.access_range(ctx, 10, 11, 2)           # freq 2, level 1, behind 20
     victims = []
     pol._victims_from(pol.contexts[ctx], 4, 150_000, victims)
-    assert [v.lo for v in victims] == [5, 0, 10, 20]
+    assert [v.lo for v in victims] == [5, 0, 20, 10]
+
+
+def test_a_hit_that_does_not_promote_moves_the_run_to_its_tail():
+    """MQ keeps each level in LRU order: a touch moves a run to the tail of
+    its level even when its freq stays below the next level's threshold."""
+    sim, m, dev, pol = dmx_stack()
+    ctx = pol.register(m.new_context("a"))
+    for lo in (0, 1):
+        pol.on_allocate(ctx, lo, lo + 1, 0)
+        pol.access_range(ctx, lo, lo + 1, 1)   # freq 2, level 1: A, then B
+    pol.access_range(ctx, 0, 1, 2)             # freq 3: A stays at level 1
+    assert [(c.lo, c.level) for c in pol.contexts[ctx].levels[1]] == [
+        (1, 1), (0, 1)]
+    victims = []
+    pol._victims_from(pol.contexts[ctx], 1, 3, victims)
+    assert [v.lo for v in victims] == [1]
 
 
 def test_clean_victims_drop_without_io():
@@ -582,7 +568,7 @@ def test_mq_and_quota_laws_hold_under_mixed_traffic():
     m.check_full()
 
 
-# -- victim index ----------------------------------------------------------
+# -- victim order ----------------------------------------------------------
 
 HELD_IO = object()      # stands in for a pending request on a DRAM run
 
@@ -591,53 +577,14 @@ def _listed(pol, ctx):
     return [c for plist in pol.contexts[ctx].levels for c in plist]
 
 
-def test_victim_index_matches_the_reference_order():
+def test_every_selection_matches_the_list_order_reference():
     """Every selection, including the ones emergency reclaims and ticks
-    make, takes exactly the pieces the full sort of tests/oracles.py would,
-    in its order, computed just before the call."""
+    make, takes exactly the pieces tests/oracles.py reads off the level
+    lists just before the call, in its order."""
     sim, m, dev, pol = dmx_stack(dram=192, flash=8192, floor_pages=8)
     rng = SplitMix64(2718)
-    seen = {"calls": 0, "partial": 0, "expire_is_t": 0, "io_held": 0,
-            "earlier_t": 0, "interior_hits": 0, "ticks": 0}
-    last_t = {}
-    ticks = []           # recorded before each tick: its refill selects
-    select = pol._victims_from
-
-    def expiry(c):
-        return aged_expiry(c.expire, ticks, pol.lifetime_us, pol.window_us)
-
-    def checked(rec, allow, t, dirty_out):
-        ctx = rec.ctx
-        expect, left = [], allow
-        for c in victim_order_reference(rec.levels, t, expiry):
-            if left == 0:
-                break
-            take = min(c.hi - c.lo, left)
-            expect.append((c.lo, c.lo + take))
-            seen["partial"] += take < c.hi - c.lo
-            left -= take
-        listed = _listed(pol, ctx)
-        seen["calls"] += 1
-        seen["expire_is_t"] += any(expiry(c) == t for c in listed)
-        seen["io_held"] += any(c.io is not None for c in listed)
-        seen["earlier_t"] += t < last_t.get(ctx.cid, -1)
-        last_t[ctx.cid] = t
-        pages_before = {i for c in listed for i in range(c.lo, c.hi)}
-        pieces = []
-        extract = m.extract
-        m.extract = lambda c, lo, hi: pieces.append((lo, hi)) or extract(c, lo, hi)
-        try:
-            got = select(rec, allow, t, dirty_out)
-        finally:
-            del m.extract
-        assert pieces == expect
-        assert got == allow - left
-        pages_after = {i for c in _listed(pol, ctx) for i in range(c.lo, c.hi)}
-        assert pages_before - pages_after == {
-            i for lo, hi in expect for i in range(lo, hi)}
-        return got
-
-    pol._victims_from = checked
+    seen = check_selections_in_list_order(pol)
+    seen.update(io_held=0, interior_hits=0, ticks=0)
     ctxs = [[pol.register(m.new_context(f"c{i}")), 0] for i in range(3)]
     held = None          # a DRAM run made to look as if IO were pending
     t = 0
@@ -652,18 +599,13 @@ def test_victim_index_matches_the_reference_order():
             pol.on_allocate(ctx, pages, pages + n, t)
             slot[1] += n
         elif roll < 12:
-            ticks.append(t)
             pol.tick(t)
             seen["ticks"] += 1
         elif roll < 24:
-            # a direct selection at a run's own expiry, which may lie
-            # before or after the last selection's time
-            runs = _listed(pol, ctx)
-            when = expiry(runs[rng.randrange(len(runs))]) if runs else t
-            if rng.randrange(3) == 0:
-                when = max(0, t - rng.randrange(150_000))
+            seen["io_held"] += (held is not None and held.ctx is ctx
+                                and held.owner is not None)
             out = []
-            pol._victims_from(pol.contexts[ctx], 1 + rng.randrange(12), when, out)
+            pol._victims_from(pol.contexts[ctx], 1 + rng.randrange(12), t, out)
             if out:
                 dev.submit_background(EVICT, out, t, cb=pol._on_evicted)
         elif roll < 28:
@@ -695,14 +637,12 @@ def test_victim_index_matches_the_reference_order():
     assert all(n > 20 for n in seen.values()), seen
 
 
-def test_victim_index_stays_bounded_without_ticks():
-    """With no tick to drop it, the index is trimmed by rebuilds: it never
-    holds more than 4 entries per listed run, beyond the slack. With no tick
-    to sweep it, the expiry wheel still holds one entry per run it ages."""
+def test_the_expiry_wheel_stays_exact_without_ticks():
+    """With no tick to sweep it, the expiry wheel still holds one entry per
+    run it ages while emergency reclaims take victims."""
     sim, m, dev, pol = dmx_stack(dram=128, flash=4096, floor_pages=8)
     ctx = pol.register(m.new_context("a"))
     rng = SplitMix64(11)
-    last, rebuilds = None, 0
     t = 0
     for step in range(6000):
         t = max(t, sim.now) + 1 + rng.randrange(50)
@@ -713,13 +653,6 @@ def test_victim_index_stays_bounded_without_ticks():
             page = rng.randrange(64) if rng.randrange(4) else rng.randrange(512)
             if pol.access_range(ctx, page, page + 1, t)[1] is not None:
                 sim.drain()
-        index = pol.contexts[ctx].index
-        if index is not None:
-            rebuilds += index is not last
-            last = index
-            listed = sum(plist.cohorts for plist in pol.contexts[ctx].levels)
-            assert index.size() <= 4 * listed + INDEX_SLACK
         if step % 10 == 0:
             assert dmx_wheel_is_exact(pol)
     assert pol.counters["emergency_reclaims"] > 1000
-    assert rebuilds > 5                # it was rebuilt along the way

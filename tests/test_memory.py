@@ -86,10 +86,21 @@ def test_same_tier_same_direction_transition_is_noop():
 
 
 def test_unknown_tier_is_rejected():
-    m = model()
-    c = m.create(m.new_context("a"), 0, 1)
+    """A rejected transition, to an unknown tier or into frames DRAM does
+    not have, leaves the run where it was and every counter balanced."""
+    m = model(dram=4)
+    ctx = m.new_context("a")
+    c = m.create(ctx, 0, 4)
     with pytest.raises(SimulationError, match="bad tier"):
         m.transition(c, 7)
+    assert c.tier == DRAM and ctx.resident == 4
+    m.check_full()
+    out = m.create(ctx, 4, 6, tier=FLASH)
+    with pytest.raises(SimulationError, match="frame overcommit"):
+        m.transition(out, TO_DRAM)
+    assert out.tier == FLASH
+    assert m.census() == {"dram": 4, "flash": 2, "inflight": 0, "total": 6}
+    m.check_full()
 
 
 def test_extract_prefix_suffix_interior_and_identity():
