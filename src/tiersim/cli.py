@@ -4,8 +4,9 @@ Two entry forms:
   tiersim [flags]              run a sweep (or a trace replay with --trace)
   tiersim compare A B [--out]  ratio table from two existing result dirs
 
-Exit codes: 0 ok, 1 usage or config error, 2 simulation abort,
-3 acceptance-check failure under --check.
+Exit codes: 0 ok, 1 usage or config error, or a trace or output path that
+cannot be read or used, 2 simulation abort, 3 acceptance-check failure
+under --check.
 """
 
 import argparse
@@ -66,6 +67,15 @@ def _print_summaries(summaries, out):
         print(" ".join(cells), file=out)
 
 
+def _make_out_dir(path):
+    """Create the output directory, so that an unusable --out is reported
+    before anything runs."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}")
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -87,6 +97,7 @@ def main(argv=None):
             raise ConfigError("--trace replays one policy; pick swap or dmx")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
+        _make_out_dir(args.out)
     except ConfigError as exc:
         print(f"tiersim: {exc}", file=sys.stderr)
         return 1
@@ -94,7 +105,6 @@ def main(argv=None):
         if args.trace:
             events = (os.path.join(args.out, "events-trace.log")
                       if args.dump_events else None)
-            os.makedirs(args.out, exist_ok=True)
             summary, driver = run_trace(cfg, args.trace, args.out, events)
             print(f"replayed {driver.accesses} accesses from {args.trace}")
             _print_summaries([summary], sys.stdout)
@@ -142,7 +152,8 @@ def _compare(argv):
     try:
         rows_a = read_sweep_csv(os.path.join(args.dir_a, "sweep.csv"))
         rows_b = read_sweep_csv(os.path.join(args.dir_b, "sweep.csv"))
-    except (OSError, SimulationError) as exc:
+        _make_out_dir(args.out)
+    except (OSError, SimulationError, ConfigError) as exc:
         print(f"tiersim: {exc}", file=sys.stderr)
         return 1
 
@@ -182,7 +193,6 @@ def _compare(argv):
                  else str(v) for v in row]
         print(" ".join(c.rjust(10) for c in cells))
         lines.append(",".join(_fmt(v) for v in row))
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "compare.csv")
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

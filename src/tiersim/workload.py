@@ -260,32 +260,36 @@ class TraceError(SimulationError):
 def load_trace(path):
     """Parse `time_us context_id page_index {r|w}` lines; `#` starts a
     comment. Returns the record list; malformed input and time regressions
-    abort with the offending line number. Records of one context share
+    abort with the offending line number, and a file that cannot be opened
+    or is not UTF-8 text aborts with the reason. Records of one context share
     one context id string."""
     records = []
     cids = {}
     last_t = 0
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0][0] == "#":
-                continue
-            if len(parts) != 4:
-                raise TraceError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
-            t_s, cid, idx_s, rw = parts
-            try:
-                t = int(t_s)
-                idx = int(idx_s)
-            except ValueError:
-                raise TraceError(f"{path}:{ln}: non-integer time or page index")
-            if t < 0 or idx < 0:
-                raise TraceError(f"{path}:{ln}: negative time or page index")
-            if rw not in ("r", "w"):
-                raise TraceError(f"{path}:{ln}: rw flag must be r or w")
-            if t < last_t:
-                raise TraceError(f"{path}:{ln}: time regression {t} < {last_t}")
-            last_t = t
-            records.append((t, cids.setdefault(cid, cid), idx, rw))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, raw in enumerate(fh, start=1):
+                parts = raw.split()
+                if not parts or parts[0][0] == "#":
+                    continue
+                if len(parts) != 4:
+                    raise TraceError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
+                t_s, cid, idx_s, rw = parts
+                try:
+                    t = int(t_s)
+                    idx = int(idx_s)
+                except ValueError:
+                    raise TraceError(f"{path}:{ln}: non-integer time or page index")
+                if t < 0 or idx < 0:
+                    raise TraceError(f"{path}:{ln}: negative time or page index")
+                if rw not in ("r", "w"):
+                    raise TraceError(f"{path}:{ln}: rw flag must be r or w")
+                if t < last_t:
+                    raise TraceError(f"{path}:{ln}: time regression {t} < {last_t}")
+                last_t = t
+                records.append((t, cids.setdefault(cid, cid), idx, rw))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from None
     return records
 
 

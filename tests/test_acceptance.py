@@ -15,8 +15,8 @@ from helpers import (build, check_selections_in_list_order,
                      runs_agree_with_their_requests)
 from oracles import LruOracle, percentile_oracle
 from tiersim.acceptance import evaluate
-from tiersim.config import resolve
-from tiersim.core import SplitMix64
+from tiersim.config import micros, resolve
+from tiersim.core import US_PER_S, SplitMix64
 from tiersim.dmx import DmxPolicy
 from tiersim.experiment import run_point, run_sweep
 from tiersim.media import PREFETCH
@@ -38,7 +38,7 @@ def disk_sweep(tmp_path_factory):
     t0 = time.monotonic()
     rows = run_sweep(cfg, str(tmp_path_factory.mktemp("disk")), 1)
     elapsed = time.monotonic() - t0
-    return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"]), elapsed
+    return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"]), elapsed, rows
 
 
 @pytest.fixture(scope="session")
@@ -48,11 +48,11 @@ def flash_checks(tmp_path_factory):
     cfg = resolve(None, {"device": "flash", "policy": "both"})
     jobs = min(2, len(os.sched_getaffinity(0)))
     rows = run_sweep(cfg, str(tmp_path_factory.mktemp("flash")), jobs)
-    return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"])
+    return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"]), rows
 
 
 def test_criterion_01_baseline_cliff_within_budget(disk_sweep):
-    results, elapsed = disk_sweep
+    results, elapsed, _ = disk_sweep
     _check(results, "baseline-cliff")
     assert elapsed < SWEEP_BUDGET_S, f"sweep took {elapsed:.0f}s"
 
@@ -62,19 +62,42 @@ def test_criterion_02_tail_latency_structure(disk_sweep):
 
 
 def test_criterion_03_media_independence_on_flash(flash_checks):
-    _check(flash_checks, "media-independence")
+    _check(flash_checks[0], "media-independence")
 
 
 def test_criterion_04_dmx_stays_stable_at_density(flash_checks):
-    _check(flash_checks, "dmx-stability")
+    _check(flash_checks[0], "dmx-stability")
 
 
 def test_criterion_05_dmx_overhead_is_bounded_when_idle(flash_checks):
-    _check(flash_checks, "dmx-overhead")
+    _check(flash_checks[0], "dmx-overhead")
 
 
 def test_criterion_06_crossover_holds_to_the_end(flash_checks):
-    _check(flash_checks, "crossover")
+    _check(flash_checks[0], "crossover")
+
+
+def test_every_sweep_row_obeys_the_output_laws(disk_sweep, flash_checks):
+    """The laws every summary row must obey, on the rows of the disk and
+    flash-both default sweeps: ordered latencies no faster than the base
+    service, at most the closed-loop bound of completions (equal at idle),
+    non-negative counters, and no more prefetch outcomes than prefetches."""
+    rows = disk_sweep[2] + flash_checks[1]
+    assert len(rows) == 75
+    cfg = resolve()
+    base = cfg["critical.base_service_us"]
+    window_us = micros(cfg["duration_s"]) - micros(cfg["warmup_s"])
+    bound = cfg["critical.threads"] * (window_us / base + 1)
+    for r in rows:
+        where = (r.policy, r.device, r.containers)
+        assert r.min_us is not None, where
+        assert r.min_us <= r.p90_us <= r.p95_us <= r.p99_us <= r.max_us, where
+        assert base <= r.min_us <= r.avg_us <= r.max_us, where
+        assert round(r.tps * window_us / US_PER_S) <= bound, where
+        counters = (r.demand_faults, r.prefetch_issued, r.prefetch_hits,
+                    r.mispredictions, r.evictions)
+        assert min(counters) >= 0, where
+        assert r.prefetch_hits + r.mispredictions <= r.prefetch_issued, where
 
 
 def test_criterion_07_swap_matches_the_lru_oracle():

@@ -160,6 +160,51 @@ def test_malformed_trace_fails_cleanly(tmp_path, capsys):
     assert "rw flag" in capsys.readouterr().err
 
 
+def _unreadable_trace(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "nope.trace"
+    if case == "directory":
+        return tmp_path
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(b"0 a 0 w\n\xff\xfe 1 r\n")
+    return trace
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("missing", "No such file"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_trace_exits_one_with_a_message(tmp_path, capsys, case,
+                                                   reason):
+    trace = _unreadable_trace(tmp_path, case)
+    assert main(["--trace", str(trace), "--policy", "swap",
+                 "--out", str(tmp_path / "r")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"tiersim: cannot read trace {trace}: ")
+    assert reason in err and err.count("\n") == 1 and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--containers", "1"],
+    ["--trace", "t.trace", "--policy", "swap"],
+    ["compare", "a", "a"],
+], ids=["sweep", "trace", "compare"])
+def test_out_path_that_is_a_file_exits_one_before_running(tmp_path, capsys,
+                                                          argv):
+    (tmp_path / "t.trace").write_text("0 a 0 w\n")
+    (tmp_path / "a").mkdir()
+    write_sweep_csv(str(tmp_path / "a" / "sweep.csv"), [summary_row(1)])
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    argv = [str(tmp_path / a) if a in ("t.trace", "a") else a for a in argv]
+    assert main(argv + ["--out", str(blocker)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"tiersim: cannot use output directory {blocker}: ")
+    assert err.count("\n") == 1 and "Traceback" not in out + err
+    assert out == ""                        # nothing ran or was printed
+
+
 def test_compare_identical_runs_reports_unit_ratios(tmp_path, capsys):
     rows = [summary_row(1), summary_row(3), summary_row(5)]
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oracles import percentile_oracle
@@ -49,7 +51,46 @@ def test_warmup_samples_are_dropped():
     c.record(111, 4_999_999)
     c.record(222, 5_000_000)
     c.record(333, 6_000_000)
-    assert c.samples == [222, 333]
+    assert list(c.samples) == [222, 333]
+
+
+def summary_reference(samples):
+    """min, avg, max and p90/p95/p99 from a plain sorted list."""
+    ordered = sorted(samples)
+    return dict(min_us=ordered[0], avg_us=sum(ordered) / len(ordered),
+                max_us=ordered[-1],
+                **{f"p{p}_us": percentile_oracle(ordered, p)
+                   for p in (90, 95, 99)})
+
+
+def sample_sets():
+    rng = SplitMix64(1717)
+    yield [4321]
+    for n in range(1, 501):
+        yield [rng.randrange(1_000_000) for _ in range(n)]
+        # the dmx shape: all at the 5000us base service, a sparse tail
+        yield [5000 + (rng.randrange(9000) if rng.randrange(40) == 0 else 0)
+               for _ in range(n)]
+    # each rank ceil(p * n / 100) lands exactly on the last copy of a value
+    for n in (20, 100, 200, 300, 1000, 1001):
+        for p in (90, 95, 99):
+            rank = math.ceil(p * n / 100)
+            yield [1000] * rank + [2000] * (n - rank)
+        r90, r95, r99 = (math.ceil(p * n / 100) for p in (90, 95, 99))
+        yield ([10] * r90 + [20] * (r95 - r90) + [30] * (r99 - r95)
+               + [40] * (n - r99))
+
+
+def test_summarize_matches_a_sorted_list_reference():
+    keys = ("min_us", "avg_us", "max_us", "p90_us", "p95_us", "p99_us")
+    for samples in sample_sets():
+        c = Collector(0, 1_000_000)
+        for v in reversed(samples):
+            c.record(v, 0)
+        s = c.summarize(1, "swap", "flash", {}, 1)
+        got = {k: getattr(s, k) for k in keys}
+        assert got == summary_reference(samples), len(samples)
+        assert s.tps == len(samples)
 
 
 def test_tps_is_completions_over_measured_window():

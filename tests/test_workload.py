@@ -413,7 +413,7 @@ def test_one_fault_inside_a_transaction_adds_its_stall():
     TxnThread(svc).begin(1000)
     sim.run(7000)
     assert svc.completed == 1
-    assert coll.samples == [5084]           # 5000 base + one 84us read
+    assert list(coll.samples) == [5084]     # 5000 base + one 84us read
 
 
 # -- trace replay ----------------------------------------------------------
