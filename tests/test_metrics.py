@@ -51,7 +51,7 @@ def test_warmup_samples_are_dropped():
     c.record(111, 4_999_999)
     c.record(222, 5_000_000)
     c.record(333, 6_000_000)
-    assert list(c.samples) == [222, 333]
+    assert c.counts == {222: 1, 333: 1}
 
 
 def summary_reference(samples):

@@ -395,7 +395,7 @@ def test_resident_transactions_cost_exactly_base_service():
     sim.run(1_000_000)
     # every draw hits: each thread completes one txn per 5 ms, lockstep
     assert svc.completed == 4 * 200
-    assert set(coll.samples) == {5000}
+    assert coll.counts == {5000: 4 * 200}
     assert pol.counters["demand_faults"] == 0
     summary = coll.summarize(0, "swap", "flash", pol.snapshot_counters(), 0)
     assert summary.tps == 800.0
@@ -413,7 +413,7 @@ def test_one_fault_inside_a_transaction_adds_its_stall():
     TxnThread(svc).begin(1000)
     sim.run(7000)
     assert svc.completed == 1
-    assert list(coll.samples) == [5084]     # 5000 base + one 84us read
+    assert coll.counts == {5084: 1}         # 5000 base + one 84us read
 
 
 # -- trace replay ----------------------------------------------------------
