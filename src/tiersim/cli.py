@@ -4,7 +4,8 @@ Two entry forms:
   tiersim [flags]              run a sweep (or a trace replay with --trace)
   tiersim compare A B [--out]  ratio table from two existing result dirs
 
-Exit codes: 0 ok, 1 usage or config error, or a trace or output path that
+Exit codes: 0 ok, 1 usage or config error (--check and --dump-accesses
+apply to sweeps, not --trace replays), or a trace or output path that
 cannot be read or used, 2 simulation abort, 3 acceptance-check failure
 under --check.
 """
@@ -95,6 +96,10 @@ def main(argv=None):
         cfg = resolve(file_values, flag_values)
         if args.trace and cfg["policy"] == "both":
             raise ConfigError("--trace replays one policy; pick swap or dmx")
+        if args.trace and args.check:
+            raise ConfigError("--check evaluates sweeps, not --trace replays")
+        if args.trace and args.dump_accesses:
+            raise ConfigError("--dump-accesses logs sweeps, not --trace replays")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         _make_out_dir(args.out)

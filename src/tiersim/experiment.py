@@ -135,11 +135,15 @@ def run_sweep(cfg, out_dir, jobs=1, dump_events=False, dump_accesses=False):
 
 
 def run_trace(cfg, trace_path, out_dir, events_path=None):
-    records = load_trace(trace_path)
+    # the twin of _collected_point's collection: an earlier replay's model
+    # in this process is cyclic garbage that the paused collector has not
+    # freed, and this frees it before the trace is parsed
+    gc.collect()
+    trace = load_trace(trace_path)
     sim, model, policy = _stack(cfg, cfg["policy"], cfg["device"], events_path)
-    driver = TraceDriver(sim, model, policy, records)
+    driver = TraceDriver(sim, model, policy, trace)
     driver.start()
-    last_t = records[-1][0] if records else 0
+    last_t = trace.times[-1] if trace else 0
     sim.run(last_t)
     sim.drain()
     if events_path is not None:

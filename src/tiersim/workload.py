@@ -16,8 +16,15 @@ closed-loop with zero think time. Hot draws are rank-weighted by a
 power-law skew. Each thread is a small object whose bound methods, made
 once, are its events: the walk's done and the txn-done event. A
 transaction builds nothing but its list of records.
+
+A trace replay keeps its records in columns (Trace): times and page
+indices in two array("q"), one reference per record to its context's
+shared id string, and the r/w flags in one str, about 26 B a record where
+a list of (t, cid, page, op) tuples takes about 134. The driver reads the
+columns by index, one record per trace event, and builds no tuple for it.
 """
 
+from array import array
 from bisect import bisect_right
 from itertools import accumulate, islice
 
@@ -257,14 +264,50 @@ class TraceError(SimulationError):
     pass
 
 
+class Trace:
+    """A parsed trace in columns, one entry per record: `times` and `pages`
+    are array("q"), `cids` holds a reference to its context's one id
+    string, and `ops` is a str of "r" and "w". Its length is the record
+    count; iterating or indexing it gives (t, cid, page, op) tuples."""
+
+    __slots__ = ("times", "cids", "pages", "ops")
+
+    def __init__(self, times, cids, pages, ops):
+        self.times = times
+        self.cids = cids
+        self.pages = pages
+        self.ops = ops
+
+    def __len__(self):
+        return len(self.times)
+
+    def __iter__(self):
+        return zip(self.times, self.cids, self.pages, self.ops)
+
+    def __getitem__(self, i):
+        return (self.times[i], self.cids[i], self.pages[i], self.ops[i])
+
+
 def load_trace(path):
-    """Parse `time_us context_id page_index {r|w}` lines; `#` starts a
-    comment. Returns the record list; malformed input and time regressions
-    abort with the offending line number, and a file that cannot be opened
-    or is not UTF-8 text aborts with the reason. Records of one context share
-    one context id string."""
-    records = []
-    cids = {}
+    """Parse `time_us context_id page_index {r|w}` lines into a Trace.
+
+    Fields are split on runs of whitespace. A comment is a whole line: one
+    whose first field starts with `#` (a blank line is skipped too); a `#`
+    after the first field is an ordinary field, so `10 web 0 w # note` has
+    6 fields. Each line's checks run in order: 4 fields, integer time and
+    page index, neither negative, an r or w flag, no time regression, and
+    both fitting in 64 bits; the first that fails aborts with the line
+    number. A file that cannot be opened or is not UTF-8 text aborts with
+    the reason. Records of one context share one context id string."""
+    times = array("q")
+    pages = array("q")
+    cids = []
+    ops = bytearray()
+    add_time, add_page = times.append, pages.append
+    add_cid, add_op = cids.append, ops.append
+    shared = {}
+    share = shared.setdefault
+    op_code = {"r": ord("r"), "w": ord("w")}
     last_t = 0
     try:
         with open(path, encoding="utf-8") as fh:
@@ -287,31 +330,43 @@ def load_trace(path):
                 if t < last_t:
                     raise TraceError(f"{path}:{ln}: time regression {t} < {last_t}")
                 last_t = t
-                records.append((t, cids.setdefault(cid, cid), idx, rw))
+                add_time(t)
+                add_page(idx)
+                add_cid(share(cid, cid))
+                add_op(op_code[rw])
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
-    return records
+    except OverflowError:
+        raise TraceError(
+            f"{path}:{ln}: time or page index does not fit in 64 bits") from None
+    return Trace(times, cids, pages, ops.decode("ascii"))
 
 
 class TraceDriver:
-    """Replays records against the active policy at their timestamps.
-    Contexts and pages come into being on first reference (that reference
-    is the materializing write, not a fault)."""
+    """Replays a Trace against the active policy at its timestamps, one
+    record per trace event, read from the columns by index; the event,
+    the bound method _fire, is made once. Contexts and pages come into
+    being on first reference (that reference is the materializing write,
+    not a fault)."""
 
-    def __init__(self, sim, model, policy, records):
+    def __init__(self, sim, model, policy, trace):
         self.sim = sim
         self.model = model
         self.policy = policy
-        self.records = records
+        self.trace = trace
         self.i = 0
         self.accesses = 0
+        self._event = self._fire
 
     def start(self):
-        if self.records:
-            self.sim.schedule(self.records[0][0], "trace", self._fire)
+        if self.trace:
+            self.sim.schedule(self.trace.times[0], "trace", self._event)
 
     def _fire(self, t):
-        _, cid, idx, rw = self.records[self.i]
+        trace = self.trace
+        i = self.i
+        cid = trace.cids[i]
+        idx = trace.pages[i]
         ctx = self.model.contexts.get(cid)
         if ctx is None:
             ctx = self.model.new_context(cid)
@@ -322,11 +377,12 @@ class TraceDriver:
         if idx not in ctx.pages:
             self.policy.on_allocate(ctx, idx, idx + 1, t)
         else:
-            self.policy.walk(ctx, [(idx, idx + 1)], t, False, rw == "w",
-                             _ignore)
-        self.i += 1
-        if self.i < len(self.records):
-            self.sim.schedule(self.records[self.i][0], "trace", self._fire)
+            self.policy.walk(ctx, [(idx, idx + 1)], t, False,
+                             trace.ops[i] == "w", _ignore)
+        i += 1
+        self.i = i
+        if i < len(trace.times):
+            self.sim.schedule(trace.times[i], "trace", self._event)
 
 
 def _ignore(t):

@@ -6,6 +6,8 @@ structures shared with the package under test.
 
 import bisect
 
+from tiersim.workload import TraceError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -142,3 +144,38 @@ def noise_pick_reference(noise, rng):
     k = rng.randrange(len(noise.contexts))
     img = rng.randrange(len(noise.catalog.images))
     return k, img
+
+
+def load_trace_reference(path):
+    """The trace parser as a list of (t, cid, page, op) tuples, one per
+    record, checked line by line in the parser's order: 4 fields, integers,
+    signs, rw flag, time. It has no 64-bit range check: a value of 2**63 or
+    more is kept as it is. Records of one context share one id string."""
+    records = []
+    cids = {}
+    last_t = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, raw in enumerate(fh, start=1):
+                parts = raw.split()
+                if not parts or parts[0][0] == "#":
+                    continue
+                if len(parts) != 4:
+                    raise TraceError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
+                t_s, cid, idx_s, rw = parts
+                try:
+                    t = int(t_s)
+                    idx = int(idx_s)
+                except ValueError:
+                    raise TraceError(f"{path}:{ln}: non-integer time or page index")
+                if t < 0 or idx < 0:
+                    raise TraceError(f"{path}:{ln}: negative time or page index")
+                if rw not in ("r", "w"):
+                    raise TraceError(f"{path}:{ln}: rw flag must be r or w")
+                if t < last_t:
+                    raise TraceError(f"{path}:{ln}: time regression {t} < {last_t}")
+                last_t = t
+                records.append((t, cids.setdefault(cid, cid), idx, rw))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from None
+    return records

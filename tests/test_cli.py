@@ -43,6 +43,18 @@ def test_trace_needs_a_single_policy(tmp_path, capsys):
     assert "one policy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--check", "--dump-accesses"])
+def test_trace_rejects_sweep_only_flags_before_running(tmp_path, capsys, flag):
+    trace = tmp_path / "t.trace"
+    trace.write_text("0 a 0 w\n")
+    out = tmp_path / "out"
+    assert main(["--trace", str(trace), "--policy", "swap", flag,
+                 "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"tiersim: {flag} ") and err.count("\n") == 1
+    assert stdout == "" and not out.exists()
+
+
 # a short flash run under memory pressure, where a bad device or swap value
 # that got past validation would reach the device and the reclaim path
 _PRESSED = ["--device", "flash", "--containers", "9", "--duration", "2",
@@ -158,6 +170,17 @@ def test_malformed_trace_fails_cleanly(tmp_path, capsys):
     assert main(["--trace", str(trace), "--policy", "swap",
                  "--out", str(tmp_path / "r")]) == 1
     assert "rw flag" in capsys.readouterr().err
+
+
+def test_a_value_past_64_bits_exits_one_naming_its_line(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text("0 web 0 r\n10 web 9223372036854775808 w\n")
+    assert main(["--trace", str(trace), "--policy", "swap",
+                 "--out", str(tmp_path / "r")]) == 1
+    out, err = capsys.readouterr()
+    assert err == (f"tiersim: {trace}:2: time or page index does not fit "
+                   "in 64 bits\n")
+    assert "Traceback" not in out
 
 
 def _unreadable_trace(tmp_path, case):

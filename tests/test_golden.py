@@ -52,7 +52,8 @@ from tiersim.dmx import DmxPolicy
 from tiersim.experiment import run_point, run_sweep, run_trace
 from tiersim.memory import MemoryModel
 from tiersim.swap import SwapPolicy
-from tiersim.workload import CriticalService, NoiseSystem, TraceDriver, walk_ranges
+from tiersim.workload import (CriticalService, NoiseSystem, TraceDriver,
+                              load_trace, walk_ranges)
 
 SWEEP_SHA256 = "e7c22c5b6d11163f58c8f17459d0cb983adaf854ac52878ca2fd1ebe436315f3"
 DISK_SWEEP_SHA256 = "698d579930a742c527ed37521a815be624b30cb4c9e51937168ed5f9b04332b9"
@@ -227,19 +228,22 @@ def test_long_overlapping_walks_wait_for_frames(policy_cls, seed):
                           "wait for one; with every frame inbound, swap's "
                           "on_allocate finds nothing to reclaim and the run "
                           "aborts")
-def test_births_wait_for_frames():
+def test_births_wait_for_frames(tmp_path):
     """2,000 one-page trace records over two contexts of 96 pages, 1-200 us
     apart, into 48 frames: at record 584 a birth finds all 48 frames
     inbound and swap raises "found no reclaimable frames". Drop the xfail
     when a birth, like a fault, waits for a frame."""
     rng = SplitMix64(9)
     t = 0
-    records = []
+    lines = []
     for _ in range(2000):
         t += 1 + rng.randrange(200)
         cid = f"c{rng.randrange(2)}"
         page = rng.randrange(96)
-        records.append((t, cid, page, "w" if rng.randrange(2) else "r"))
+        lines.append(f"{t} {cid} {page} {'w' if rng.randrange(2) else 'r'}\n")
+    path = tmp_path / "births.trace"
+    path.write_text("".join(lines))
+    records = load_trace(str(path))
     sim, m, dev = build(dram=48, flash=4096)
     replay = TraceDriver(sim, m, SwapPolicy(m, dev), records)
     replay.start()

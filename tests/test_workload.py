@@ -1,14 +1,19 @@
 import gc
+import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 from helpers import RecordingPolicy, build
 from oracles import (ReplayedStream, draw_record_reference,
-                     noise_pick_reference, splitmix64_reference)
+                     load_trace_reference, noise_pick_reference,
+                     splitmix64_reference)
+from tiersim.config import resolve
 from tiersim.core import SimulationError, SplitMix64, Simulator
 from tiersim.dmx import DmxPolicy
-from tiersim.memory import FLASH, MemoryModel
+from tiersim.experiment import run_trace
+from tiersim.memory import FLASH, Context, MemoryModel
 from tiersim.metrics import Collector
 from tiersim.swap import SwapPolicy
 from tiersim.workload import (
@@ -421,14 +426,14 @@ def test_one_fault_inside_a_transaction_adds_its_stall():
 def test_trace_parses_records_and_comments(tmp_path):
     p = tmp_path / "t.trace"
     p.write_text("# header\n\n10 web 0 w\n20 web 1 r\n30 db 5 w\n")
-    assert load_trace(str(p)) == [
+    assert list(load_trace(str(p))) == [
         (10, "web", 0, "w"), (20, "web", 1, "r"), (30, "db", 5, "w")]
 
 
 def test_empty_trace_is_empty(tmp_path):
     p = tmp_path / "t.trace"
     p.write_text("# nothing here\n")
-    assert load_trace(str(p)) == []
+    assert list(load_trace(str(p))) == []
 
 
 @pytest.mark.parametrize("body", [
@@ -446,6 +451,9 @@ def test_malformed_traces_name_the_line(tmp_path, body):
     assert ".trace:" in str(err.value)
 
 
+_PAST_64_BITS = "time or page index does not fit in 64 bits"
+
+
 @pytest.mark.parametrize("body, message", [
     ("10 web 0 r 9\n", "expected 4 fields, got 5"),
     ("x web -1 q\n", "non-integer time or page index"),
@@ -454,9 +462,16 @@ def test_malformed_traces_name_the_line(tmp_path, body):
     ("10 web -1 r\n", "negative time or page index"),
     ("20 web 0 r\n10 web 0 q\n", "rw flag must be r or w"),
     ("20 web 0 r\n10 web 0 r\n", "time regression 10 < 20"),
+    ("10 web 2 w # note\n", "expected 4 fields, got 6"),
+    ("9223372036854775808 web 0 r\n", _PAST_64_BITS),
+    ("10 web 9223372036854775808 w\n", _PAST_64_BITS),
+    ("10 web 9223372036854775808 q\n", "rw flag must be r or w"),
+    ("20 web 0 r\n10 web 9223372036854775808 r\n", "time regression 10 < 20"),
 ])
 def test_a_bad_line_fails_its_first_check(tmp_path, body, message):
-    """Checks run in order: field count, integers, signs, rw flag, time."""
+    """Checks run in order: field count, integers, signs, rw flag, time,
+    64-bit range. A comment is a whole line: a `#` after the first field
+    is one more field."""
     p = tmp_path / "bad.trace"
     p.write_text("  # indented comment\n" + body)
     lines = body.count("\n")
@@ -468,15 +483,223 @@ def test_a_bad_line_fails_its_first_check(tmp_path, body, message):
 def test_records_of_one_context_share_its_id_string(tmp_path):
     p = tmp_path / "t.trace"
     p.write_text("10 web 0 w\n  20\tweb 1 r  \n30 db 5 w\n40 web 2 r\n")
-    records = load_trace(str(p))
+    records = list(load_trace(str(p)))
     assert records == [(10, "web", 0, "w"), (20, "web", 1, "r"),
                        (30, "db", 5, "w"), (40, "web", 2, "r")]
     assert records[0][1] is records[1][1] is records[3][1]
 
 
+def test_the_largest_64_bit_values_load(tmp_path):
+    top = 2 ** 63 - 1
+    p = tmp_path / "t.trace"
+    p.write_text(f"0 web {top} r\n{top} web 0 w\n")
+    assert list(load_trace(str(p))) == [(0, "web", top, "r"),
+                                        (top, "web", 0, "w")]
+
+
+_CIDS = [f"c{k}" for k in range(40)] + ["web", "db-primary", "kv_7", "x1",
+                                        "cache", "batch-job", "ÿ-utf8",
+                                        "ctx.nested", "0", "LOG"]
+
+
+def _random_trace(rnd, n_lines):
+    """A valid trace of n_lines lines, as (text lines, indices of the
+    record lines, the record tuples): comments, blank lines, tabs and runs
+    of spaces around fields, CRLF and LF endings, up to 50 context ids,
+    repeated pages and equal timestamps."""
+    cids = rnd.sample(_CIDS, rnd.randint(1, 50))
+    pages = rnd.choice((4, 64, 5000))
+    lines, at, records = [], [], []
+    t = 0
+    forced = rnd.randrange(n_lines)         # at least one record
+    for i in range(n_lines):
+        kind = rnd.random()
+        if i != forced and kind < 0.06:
+            body = rnd.choice(("", " ", "\t", "  \t "))
+        elif i != forced and kind < 0.12:
+            body = rnd.choice(("#", "# note", "  #x 1 2 3", "\t# 10 a 0 w",
+                               "#10 a 0 r extra", "## 5"))
+        else:
+            t += rnd.choice((0, 0, 1, 3, 250, 10_000))
+            cid = rnd.choice(cids)
+            page = rnd.randrange(pages) if rnd.random() < 0.99 else 2 ** 63 - 1
+            op = rnd.choice("rw")
+            seps = [rnd.choice((" ", "  ", "\t", " \t ")) for _ in range(3)]
+            body = (rnd.choice(("", "", " ", "\t")) + str(t) + seps[0] + cid
+                    + seps[1] + str(page) + seps[2] + op
+                    + rnd.choice(("", "", " ", "\t ")))
+            at.append(i)
+            records.append((t, cid, page, op))
+        lines.append(body)
+    return lines, at, records
+
+
+def _write_lines(path, rnd, lines):
+    ends = [rnd.choice(("\n", "\r\n")) for _ in lines]
+    if rnd.random() < 0.3:
+        ends[-1] = ""                       # no newline at the end
+    path.write_bytes("".join(b + e for b, e in zip(lines, ends)).encode())
+
+
+def _one_copy_per_id(records):
+    return len({id(r[1]) for r in records}) == len({r[1] for r in records})
+
+
+_FAULTS = ("fields3", "fields5", "non-integer", "negative", "flag", "regress",
+           "past-64-bits")
+
+
+def _break_line(rnd, lines, at, records):
+    """Put one fault, half the time with a second one, on one record line.
+    Returns its 1-based line number and whether a value past 64 bits is
+    its first fault."""
+    j = rnd.randrange(len(records))
+    can_regress = j > 0 and records[j - 1][0] > 0
+    faults = [rnd.choice(_FAULTS)]
+    if faults[0] == "regress" and not can_regress:
+        faults[0] = "negative"
+    if rnd.random() < 0.5:
+        faults.append(rnd.choice(("negative", "flag", "regress",
+                                  "non-integer")))
+    t, cid, page, op = (str(v) for v in records[j])
+    for f in faults:
+        if f == "non-integer":
+            bad = rnd.choice(("x", "1.5", "0x1f", "1e3", "--1", "7a"))
+            if rnd.random() < 0.5:
+                t = bad
+            else:
+                page = bad
+        elif f == "negative":
+            if rnd.random() < 0.5:
+                t = f"-{rnd.randint(1, 9)}"
+            else:
+                page = f"-{rnd.randint(1, 9)}"
+        elif f == "flag":
+            op = rnd.choice(("R", "x", "rw", "W", "0"))
+        elif f == "regress" and can_regress:
+            t = str(rnd.randrange(records[j - 1][0]))
+        elif f == "past-64-bits":
+            # a time only on the last record, where no later time regresses
+            big = str(2 ** 63 + rnd.randrange(10 ** 6))
+            if j == len(records) - 1 and rnd.random() < 0.5:
+                t = big
+            else:
+                page = big
+    fields = [t, cid, page, op]
+    if faults[0] == "fields3":
+        del fields[rnd.randrange(4)]
+    elif faults[0] == "fields5":
+        fields.insert(rnd.randrange(1, 5), rnd.choice(("9", "#", "w")))
+    lines[at[j]] = rnd.choice((" ", "\t")).join(fields)
+    return at[j] + 1, faults[0] == "past-64-bits"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_load_trace_agrees_with_the_tuple_parser(tmp_path, seed):
+    """Random traces of 1 to 5,000 lines give the reference's records, ids
+    shared the same way; one broken line makes both raise the same error,
+    except that only load_trace rejects a value of 2**63 or more."""
+    rnd = random.Random(seed)
+    n_lines = rnd.choice((1, 2, 5, rnd.randint(1, 200), rnd.randint(1, 5000),
+                          5000))
+    lines, at, records = _random_trace(rnd, n_lines)
+    p = tmp_path / "t.trace"
+    _write_lines(p, rnd, lines)
+    trace = load_trace(str(p))
+    got, want = list(trace), load_trace_reference(str(p))
+    assert want == records
+    assert got == want and len(trace) == len(want)
+    assert [trace[i] for i in range(len(trace))] == want
+    assert _one_copy_per_id(got) and _one_copy_per_id(want)
+
+    ln, past_64_bits = _break_line(rnd, lines, at, records)
+    _write_lines(p, rnd, lines)
+    with pytest.raises(TraceError) as err:
+        load_trace(str(p))
+    try:
+        load_trace_reference(str(p))
+    except TraceError as ref_err:
+        assert str(err.value) == str(ref_err)
+    else:
+        assert past_64_bits
+        assert str(err.value) == f"{p}:{ln}: {_PAST_64_BITS}"
+    assert str(err.value).startswith(f"{p}:{ln}: ")
+
+
+def test_a_loaded_trace_holds_under_40_bytes_a_record(tmp_path):
+    """A list of (t, cid, page, op) tuples holds about 134 B a record."""
+    rnd = random.Random(11)
+    t, lines = 0, []
+    for _ in range(20_000):
+        t += rnd.randrange(60)
+        lines.append(f"{t} c{rnd.randrange(8)} {rnd.randrange(1000, 90_000)} "
+                     f"{rnd.choice('rw')}\n")
+    p = tmp_path / "t.trace"
+    p.write_text("".join(lines))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = load_trace(str(p))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert held <= 40 * 20_000
+
+
+def _live_contexts(prefix):
+    return [o for o in gc.get_objects()
+            if type(o) is Context and o.cid.startswith(prefix)]
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["collector-on", "collector-off"])
+def test_a_replay_frees_the_one_before_it(tmp_path, monkeypatch, enabled):
+    """A replay's contexts and cohorts refer to each other, and
+    Simulator.run pauses the collector: run_trace collects before it
+    parses, so the contexts of an earlier replay are gone when the next
+    replay starts, and the collector is left as it was found. (The
+    MemoryModel object itself is freed by reference counting; the cyclic
+    Context and Cohort take no weak reference.)"""
+    def write(name, prefix):
+        rng = SplitMix64(4)
+        t, lines = 0, []
+        for _ in range(2000):
+            t += 1 + rng.randrange(100)
+            lines.append(f"{t} {prefix}{rng.randrange(3)} {rng.randrange(300)} "
+                         f"{'rw'[rng.randrange(2)]}\n")
+        (tmp_path / name).write_text("".join(lines))
+        return str(tmp_path / name)
+
+    cfg = resolve(None, {"policy": "swap", "device": "flash",
+                         "mem.dram_pages": "128"})
+    first = run_trace(cfg, write("first.trace", "first-"), str(tmp_path / "a"))
+    assert len(_live_contexts("first-")) == 3
+    del first
+    left = []
+    start = TraceDriver.start
+
+    def checked_start(driver):
+        left.append(len(_live_contexts("first-")))
+        start(driver)
+
+    monkeypatch.setattr(TraceDriver, "start", checked_start)
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        _, second = run_trace(cfg, write("second.trace", "second-"),
+                              str(tmp_path / "b"))
+        left_enabled = gc.isenabled()
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert left == [0] and second.accesses == 2000
+    assert left_enabled is enabled
+
+
 @pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
                          ids=["swap", "dmx"])
-def test_a_replay_keeps_every_page_a_first_page(policy_cls):
+def test_a_replay_keeps_every_page_a_first_page(tmp_path, policy_cls):
     """TraceDriver tells a birth from an access by `idx in ctx.pages`:
     that needs every allocated page to stay a one-page cohort through
     faults, evictions and write-backs."""
@@ -486,9 +709,11 @@ def test_a_replay_keeps_every_page_a_first_page(policy_cls):
         t += 1 + rng.randrange(250)
         records.append((t, "ab"[rng.randrange(2)], rng.randrange(160),
                         "rw"[rng.randrange(2)]))
+    p = tmp_path / "t.trace"
+    p.write_text("".join(f"{t} {c} {i} {op}\n" for t, c, i, op in records))
     sim, m, dev = build(dram=128, flash=1024)
     pol = policy_cls(m, dev)
-    driver = TraceDriver(sim, m, pol, records)
+    driver = TraceDriver(sim, m, pol, load_trace(str(p)))
     driver.start()
     sim.run(records[-1][0])
     sim.drain()
