@@ -5,9 +5,9 @@ Two entry forms:
   tiersim compare A B [--out]  ratio table from two existing result dirs
 
 Exit codes: 0 ok, 1 usage or config error (--check and --dump-accesses
-apply to sweeps, not --trace replays), or a trace or output path that
-cannot be read or used, 2 simulation abort, 3 acceptance-check failure
-under --check.
+apply to sweeps, not --trace replays), a trace or output path that
+cannot be read or used, or a sweep CSV that compare cannot parse, 2
+simulation abort, 3 acceptance-check failure under --check.
 """
 
 import argparse
@@ -108,9 +108,8 @@ def main(argv=None):
         return 1
     try:
         if args.trace:
-            events = (os.path.join(args.out, "events-trace.log")
-                      if args.dump_events else None)
-            summary, driver = run_trace(cfg, args.trace, args.out, events)
+            summary, driver = run_trace(cfg, args.trace, args.out,
+                                        args.dump_events)
             print(f"replayed {driver.accesses} accesses from {args.trace}")
             _print_summaries([summary], sys.stdout)
         else:

@@ -117,17 +117,17 @@ def mix_seed(*parts: int) -> int:
 
 
 class Simulator:
-    __slots__ = ("now", "_heap", "_seq", "_event_log", "post_event_hook")
+    """The event queue and its clock. `event_log` is a sink: None, or a
+    callable (a file's `write`) fed each event's line before the event runs."""
+
+    __slots__ = ("now", "_heap", "_seq", "event_log", "post_event_hook")
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
-        self._event_log = None  # list of (time, seq, kind) when enabled
+        self.event_log = None
         self.post_event_hook = None  # invariant checks in tests
-
-    def enable_event_log(self):
-        self._event_log = []
 
     def schedule(self, at: int, kind: str, fn) -> int:
         if at < self.now:
@@ -156,7 +156,7 @@ class Simulator:
         processed = 0
         heap = self._heap
         pop = heappop
-        log = self._event_log
+        log = self.event_log
         hook = self.post_event_hook
         was_enabled = gc.isenabled()
         gc.disable()
@@ -165,7 +165,7 @@ class Simulator:
                 at, seq, kind, fn = pop(heap)
                 self.now = at
                 if log is not None:
-                    log.append((at, seq, kind))
+                    log(f"{at}\t{seq}\t{kind}\n")
                 fn(at)
                 processed += 1
                 if hook is not None:
@@ -183,10 +183,3 @@ class Simulator:
         while self._heap:
             processed += self.run(self._heap[0][0])
         return processed
-
-    def dump_events(self, path: str):
-        if self._event_log is None:
-            raise SimulationError("event log was not enabled for this run")
-        with open(path, "w") as f:
-            for at, seq, kind in self._event_log:
-                f.write(f"{at}\t{seq}\t{kind}\n")

@@ -9,6 +9,9 @@ the memory model, `device` the device profile, `swap` and `dmx` the
 policies, `critical` and `noise` the workloads). A new parameter needs its
 DEFAULTS row in config.py and its constructor parameter, nothing here.
 
+A log is a sink fed each line as the run makes it: run_point and run_trace
+open the log files first and close them in one `with`.
+
 Each point's RNG seed mixes the global seed with the container count, and
 container identities are constructed in a fixed order, so growing the sweep
 adds containers without disturbing the catalog layout of existing ones.
@@ -18,7 +21,7 @@ identical workload draws.
 
 import gc
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 
 from .core import Simulator, SplitMix64, mix_seed, SimulationError
@@ -47,16 +50,18 @@ def make_policy(name, cfg, model, device):
     return POLICIES[name](model, device, **_section(cfg, name))
 
 
-def _stack(cfg, policy_name, device_name, events_path):
+def _stack(cfg, policy_name, device_name):
     """Build the simulator, memory model, device and policy of one run;
     returns (sim, model, policy), and the device is policy.device."""
     sim = Simulator()
-    if events_path is not None:
-        sim.enable_event_log()
     model = MemoryModel(**_section(cfg, "mem"))
     profile = replace(PROFILES[device_name], **_section(cfg, "device"))
     device = Device(sim, model, profile)
     return sim, model, make_policy(policy_name, cfg, model, device)
+
+
+def _sink(files, path):
+    return None if path is None else files.enter_context(open(path, "w")).write
 
 
 def run_point(cfg, policy_name, device_name, containers,
@@ -64,33 +69,28 @@ def run_point(cfg, policy_name, device_name, containers,
     run_seed = mix_seed(cfg["seed"], containers)
     duration_us = configmod.micros(cfg["duration_s"])
     warmup_us = configmod.micros(cfg["warmup_s"])
-    sim, model, policy = _stack(cfg, policy_name, device_name, events_path)
-    if accesses_path is not None:
-        policy.access_log = []
+    sim, model, policy = _stack(cfg, policy_name, device_name)
     collector = Collector(warmup_us, duration_us)
     rng = SplitMix64(run_seed)
-    critical = CriticalService(sim, model, policy, collector, rng.fork(1),
-                               **_section(cfg, "critical"))
-    noise = NoiseSystem(sim, model, policy, rng.fork(2), containers,
-                        scale=cfg["scale"], **_section(cfg, "noise"))
-    critical.start()
-    noise.start()
-    window = cfg["dmx.window_us"]
+    with ExitStack() as files:
+        sim.event_log = _sink(files, events_path)
+        policy.access_log = _sink(files, accesses_path)
+        critical = CriticalService(sim, model, policy, collector, rng.fork(1),
+                                   **_section(cfg, "critical"))
+        noise = NoiseSystem(sim, model, policy, rng.fork(2), containers,
+                            scale=cfg["scale"], **_section(cfg, "noise"))
+        critical.start()
+        noise.start()
+        window = cfg["dmx.window_us"]
 
-    def tick(t):
-        policy.tick(t)
-        if t + window <= duration_us:
-            sim.schedule(t + window, "tick", tick)
+        def tick(t):
+            policy.tick(t)
+            if t + window <= duration_us:
+                sim.schedule(t + window, "tick", tick)
 
-    if window <= duration_us:
-        sim.schedule(window, "tick", tick)
-    sim.run(duration_us)
-    if events_path is not None:
-        sim.dump_events(events_path)
-    if accesses_path is not None:
-        with open(accesses_path, "w") as fh:
-            for t, cid, idx, op in policy.access_log:
-                fh.write(f"{t} {cid} {idx} {op}\n")
+        if window <= duration_us:
+            sim.schedule(window, "tick", tick)
+        sim.run(duration_us)
     return collector.summarize(containers, policy_name, device_name,
                                policy.snapshot_counters(), run_seed)
 
@@ -123,6 +123,7 @@ def run_sweep(cfg, out_dir, jobs=1, dump_events=False, dump_accesses=False):
             os.path.join(out_dir, f"accesses-{tag}.trace") if dump_accesses else None,
         ))
     if jobs > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(_collected_point, args))
     else:
@@ -134,24 +135,25 @@ def run_sweep(cfg, out_dir, jobs=1, dump_events=False, dump_accesses=False):
     return summaries
 
 
-def run_trace(cfg, trace_path, out_dir, events_path=None):
+def run_trace(cfg, trace_path, out_dir, dump_events=False):
     # the twin of _collected_point's collection: an earlier replay's model
     # in this process is cyclic garbage that the paused collector has not
     # freed, and this frees it before the trace is parsed
     gc.collect()
     trace = load_trace(trace_path)
-    sim, model, policy = _stack(cfg, cfg["policy"], cfg["device"], events_path)
-    driver = TraceDriver(sim, model, policy, trace)
-    driver.start()
+    sim, model, policy = _stack(cfg, cfg["policy"], cfg["device"])
     last_t = trace.times[-1] if trace else 0
-    sim.run(last_t)
-    sim.drain()
-    if events_path is not None:
-        sim.dump_events(events_path)
+    os.makedirs(out_dir, exist_ok=True)
+    with ExitStack() as files:
+        sim.event_log = _sink(files, os.path.join(out_dir, "events-trace.log")
+                              if dump_events else None)
+        driver = TraceDriver(sim, model, policy, trace)
+        driver.start()
+        sim.run(last_t)
+        sim.drain()
     collector = Collector(0, max(last_t, 1))
     summary = collector.summarize(0, cfg["policy"], cfg["device"],
                                   policy.snapshot_counters(), cfg["seed"])
-    os.makedirs(out_dir, exist_ok=True)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), [summary])
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(configmod.render(cfg))

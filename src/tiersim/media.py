@@ -141,7 +141,7 @@ class Device:
             "pages_read": 0, "pages_written": 0,
             "busy_us": 0, "dropped_requests": 0,
         }
-        self.dispatch_log = None  # (t, klass, evict_q, prefetch_q) when enabled
+        self.dispatch_log = None  # sink: (t, klass, evict_q, prefetch_q)
 
     # -- demand path -------------------------------------------------------
 
@@ -242,8 +242,7 @@ class Device:
                 return  # inbound prefetch blocked until frames open up
             q.popleft()
             if self.dispatch_log is not None:
-                self.dispatch_log.append(
-                    (t, req.klass, len(evicts), len(prefetches)))
+                self.dispatch_log((t, req.klass, len(evicts), len(prefetches)))
             self._start(req, slot, t)
 
     # -- completion --------------------------------------------------------

@@ -28,7 +28,8 @@ class Policy:
     its read, `_on_landed(req, landed, t)` when a demand read lands, and
     `_on_walked(ctx, lo, end, t, waited)` once per range when the walk of
     its pages [lo, end), reached at t, stops, at a wait-exit (`waited`) or
-    at the range's end."""
+    at the range's end. `access_log` is a sink: None, or a callable that
+    `_log` hands the load_trace lines of each birth and each walked range."""
 
     def __init__(self, model, device, fault_overhead_us):
         self.model = model
@@ -42,7 +43,7 @@ class Policy:
             "prefetch_hits": 0,
             "mispredictions": 0,
         }
-        self.access_log = None      # list of (t, cid, idx, op) when enabled
+        self.access_log = None
 
     def _on_split(self, ctx, c, span, end):
         pass
@@ -174,8 +175,7 @@ class Policy:
 
     def _log(self, t, ctx, lo, hi, op):
         if self.access_log is not None:
-            for idx in range(lo, hi):
-                self.access_log.append((t, ctx.cid, idx, op))
+            self.access_log("".join(f"{t} {ctx.cid} {i} {op}\n" for i in range(lo, hi)))
 
     def snapshot_counters(self) -> dict:
         out = dict(self.counters)

@@ -11,10 +11,10 @@ from .core import SimulationError
 from .metrics import RunSummary
 
 CSV_COLUMNS = RunSummary.field_names()
-_INT_COLS = {"containers", "min_us", "max_us", "p90_us", "p95_us", "p99_us",
-             "demand_faults", "prefetch_issued", "prefetch_hits",
-             "mispredictions", "evictions", "seed"}
-_FLOAT_COLS = {"tps", "avg_us"}
+_PARSE = {"tps": float, "avg_us": float, **dict.fromkeys((
+    "containers", "min_us", "max_us", "p90_us", "p95_us", "p99_us",
+    "demand_faults", "prefetch_issued", "prefetch_hits", "mispredictions",
+    "evictions", "seed"), int)}
 _OPT_COLS = {"min_us", "avg_us", "max_us", "p90_us", "p95_us", "p99_us"}
 
 
@@ -35,8 +35,16 @@ def write_sweep_csv(path, summaries):
 
 
 def read_sweep_csv(path):
-    with open(path) as fh:
-        rows = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+    """The rows of a sweep CSV; a line that is not UTF-8 text, a foreign
+    header, a wrong cell count or a bad number raises SimulationError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SimulationError(f"{path}: line {line} is not UTF-8 text") from None
+    rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
     if not rows or rows[0].split(",") != CSV_COLUMNS:
         raise SimulationError(f"{path}: unrecognized sweep CSV header")
     out = []
@@ -48,14 +56,12 @@ def read_sweep_csv(path):
             raise SimulationError(f"{path}: bad column count in row {row!r}")
         kw = {}
         for col, val in zip(CSV_COLUMNS, vals):
-            if col in _OPT_COLS and val == "":
-                kw[col] = None
-            elif col in _FLOAT_COLS:
-                kw[col] = float(val)
-            elif col in _INT_COLS:
-                kw[col] = int(val)
-            else:
-                kw[col] = val
+            try:
+                kw[col] = (None if col in _OPT_COLS and val == "" else
+                           _PARSE.get(col, str)(val))
+            except ValueError:
+                raise SimulationError(
+                    f"{path}: bad {col} {val!r} in row {row!r}") from None
         out.append(RunSummary(**kw))
     return out
 

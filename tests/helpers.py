@@ -18,6 +18,13 @@ def build(dram=256, flash=8192, profile="flash", **overrides):
     return sim, model, Device(sim, model, prof)
 
 
+def logged_accesses(chunks):
+    """The (t, cid, idx, op) records of the access-log text in `chunks`,
+    the strings a Policy.access_log sink was handed."""
+    return [(int(t), cid, int(idx), op) for t, cid, idx, op in
+            (line.split() for line in "".join(chunks).splitlines())]
+
+
 def mq_law_holds(pol):
     """Every DRAM cohort of a context dmx registered satisfies freq >= 2^level."""
     for ctx in pol.contexts:

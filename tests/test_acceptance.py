@@ -162,7 +162,8 @@ def _check_dmx_state(pol, ctxs):
 
 def _fuzz(policy_name, seed, target_events=1_000_000):
     sim, m, dev = build(dram=1024, flash=32768)
-    dev.dispatch_log = []
+    dispatched = []
+    dev.dispatch_log = dispatched.append
     if policy_name == "swap":
         pol = SwapPolicy(m, dev, fault_overhead_us=10, reclaim_batch=8)
     else:
@@ -258,7 +259,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
     if policy_name == "dmx":
         _check_dmx_state(pol, ctxs)
     assert events[0] >= target_events, f"starved at {events[0]} events"
-    for entry in dev.dispatch_log:
+    for entry in dispatched:
         if entry[1] == PREFETCH:
             assert entry[2] == 0, f"prefetch dispatched past evicts: {entry}"
     counters = pol.snapshot_counters()

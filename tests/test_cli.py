@@ -1,13 +1,16 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import tiersim
 from tiersim.cli import main
 from tiersim.config import resolve
 from tiersim.experiment import sweep_plan
 from tiersim.metrics import Collector
-from tiersim.report import write_sweep_csv, read_sweep_csv
+from tiersim.report import CSV_COLUMNS, write_sweep_csv, read_sweep_csv
 
 
 def summary_row(containers, policy="swap", device="flash", tps=100.0, lat=5000):
@@ -143,6 +146,23 @@ def test_tiny_sweep_end_to_end(tmp_path, capsys):
     assert "policy = swap" in (out / "config.txt").read_text()
 
 
+def test_a_serial_sweep_loads_no_process_pool(tmp_path):
+    """With --jobs 1 every point runs in this process, and a fresh
+    interpreter imports neither concurrent.futures nor multiprocessing."""
+    code = ("import sys\n"
+            "from tiersim.cli import main\n"
+            "assert main(['--policy', 'swap', '--device', 'flash',"
+            " '--containers', '1,3', '--duration', '0.2', '--warmup', '0.1',"
+            " '--out', sys.argv[1]]) == 0\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(tiersim.__file__))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_capacity_exhaustion_aborts_with_code_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -252,6 +272,31 @@ def test_compare_rejects_mismatched_sweeps(tmp_path, capsys):
     write_sweep_csv(str(b / "sweep.csv"), [summary_row(1), summary_row(3)])
     assert main(["compare", str(a), str(b), "--out", str(tmp_path)]) == 1
     assert "only in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, cell, reason", [
+    ("containers", b"x", "bad containers 'x' in row '"),
+    ("tps", b"fast", "bad tps 'fast' in row '"),
+    ("policy", b"\xff", "line 4 is not UTF-8 text"),
+], ids=["bad-int", "bad-float", "not-utf8"])
+def test_compare_malformed_csv_exits_one_naming_file_and_row(tmp_path, capsys,
+                                                             column, cell,
+                                                             reason):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        write_sweep_csv(str(d / "sweep.csv"), [summary_row(1), summary_row(3)])
+    path = b / "sweep.csv"
+    lines = path.read_bytes().split(b"\n")      # comment, header, two rows
+    cells = lines[3].split(b",")
+    cells[CSV_COLUMNS.index(column)] = cell
+    lines[3] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+    assert main(["compare", str(a), str(b), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"tiersim: {path}: {reason}")
+    assert err.count("\n") == 1 and "Traceback" not in out + err
+    assert out == ""
 
 
 def test_compare_missing_dir_fails(tmp_path, capsys):

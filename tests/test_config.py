@@ -202,8 +202,8 @@ def test_each_section_key_reaches_its_part(monkeypatch):
                             lambda *a, _s=section, _cls=cls, **kw:
                             parts.setdefault(_s, _cls(*a, **kw)))
     experiment.run_point(cfg, "dmx", "flash", 1)
-    _, parts["mem"], parts["dmx"] = experiment._stack(cfg, "dmx", "flash", None)
-    parts["swap"] = experiment._stack(cfg, "swap", "flash", None)[2]
+    _, parts["mem"], parts["dmx"] = experiment._stack(cfg, "dmx", "flash")
+    parts["swap"] = experiment._stack(cfg, "swap", "flash")[2]
     parts["device"] = parts["dmx"].device.profile
     unchecked = set()
     for key, value in NON_DEFAULT.items():

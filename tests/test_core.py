@@ -192,9 +192,10 @@ def test_a_trace_replay_leaves_no_cyclic_garbage(run_garbage, tmp_path, policy):
     assert run_garbage.found == []
 
 
-def _cascade_log(path, seed):
+def _cascade_log(seed):
     sim = Simulator()
-    sim.enable_event_log()
+    lines = []
+    sim.event_log = lines.append
     rng = SplitMix64(seed)
     budget = [2_000]
 
@@ -206,16 +207,15 @@ def _cascade_log(path, seed):
 
     sim.schedule(0, "hop", fire)
     sim.drain()
-    sim.dump_events(str(path))
-    return path.read_bytes()
+    return lines
 
 
-def test_seeded_runs_produce_identical_event_logs(tmp_path):
-    a = _cascade_log(tmp_path / "a.log", 42)
-    b = _cascade_log(tmp_path / "b.log", 42)
+def test_seeded_runs_produce_identical_event_logs():
+    a = _cascade_log(42)
+    b = _cascade_log(42)
     assert a == b
-    first = a.splitlines()[0].decode()
-    t, seq, kind = first.split("\t")
+    assert all(line.endswith("\n") for line in a)
+    t, seq, kind = a[0].rstrip("\n").split("\t")
     assert (int(t), kind) == (0, "hop")
     assert int(seq) == 0
 

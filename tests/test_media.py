@@ -82,7 +82,8 @@ def test_not_before_delays_the_reservation():
 
 def test_demand_overtakes_queued_prefetch():
     sim, m, dev = build(max_inflight=2)
-    dev.dispatch_log = []
+    dispatched = []
+    dev.dispatch_log = dispatched.append
     ctx = m.new_context("a")
     c1 = m.create(ctx, 0, 1, tier=FLASH)
     c2 = m.create(ctx, 1, 2, tier=FLASH)
@@ -98,14 +99,15 @@ def test_demand_overtakes_queued_prefetch():
     h3 = dev.submit_demand([c3], 10)
     assert h3.done_t == 168             # reserved ahead of both prefetches
     sim.drain()
-    assert dev.dispatch_log == [(84, PREFETCH, 0, 1), (168, PREFETCH, 0, 0)]
+    assert dispatched == [(84, PREFETCH, 0, 1), (168, PREFETCH, 0, 0)]
     assert (hp1.done_t, hp2.done_t) == (168, 252)
     assert dev.stats["demand_ios"] == 3 and dev.stats["prefetch_ios"] == 2
 
 
 def test_evict_dispatches_before_earlier_prefetch():
     sim, m, dev = build(max_inflight=1)
-    dev.dispatch_log = []
+    dispatched = []
+    dev.dispatch_log = dispatched.append
     ctx = m.new_context("a")
     c = m.create(ctx, 0, 1, tier=FLASH)
     p = m.create(ctx, 1, 2, tier=FLASH)
@@ -115,8 +117,8 @@ def test_evict_dispatches_before_earlier_prefetch():
     dev.submit_background(EVICT, [d], 0)
     assert d.tier == TO_FLASH  # buffered at submit
     sim.drain()
-    assert dev.dispatch_log == [(84, EVICT, 0, 1), (288, PREFETCH, 0, 0)]
-    for t, klass, evict_q, _ in dev.dispatch_log:
+    assert dispatched == [(84, EVICT, 0, 1), (288, PREFETCH, 0, 0)]
+    for t, klass, evict_q, _ in dispatched:
         if klass == PREFETCH:
             assert evict_q == 0        # prefetch never jumps an evict
     assert d.tier == FLASH and d.dirty is False

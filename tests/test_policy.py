@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import build
+from helpers import build, logged_accesses
 from tiersim.dmx import DmxPolicy
 from tiersim.media import service_time_us
 from tiersim.memory import DRAM, FLASH, TO_DRAM, TO_FLASH
@@ -144,7 +144,8 @@ def test_a_wait_in_range_two_of_three_resumes_then_walks_range_three(policy_cls)
     draining = m.create(ctx, 12, 16, tier=DRAM)
     write = dev.submit_demand([draining], 100, write=True)
     read_4 = service_time_us(dev.profile, 4, False)
-    pol.access_log = []
+    log = []
+    pol.access_log = log.append
     walked = []
     on_walked = pol._on_walked
 
@@ -163,7 +164,7 @@ def test_a_wait_in_range_two_of_three_resumes_then_walks_range_three(policy_cls)
     assert walked == [(0, 8, 100, False), (8, 12, 100, True),
                       (12, 16, tw, False), (16, 20, tw + read_4, False)]
     assert ends == [tw + 2 * read_4]
-    logged = [(t, idx) for t, _, idx, _ in pol.access_log]
+    logged = [(t, idx) for t, _, idx, _ in logged_accesses(log)]
     assert logged == ([(100, i) for i in range(16)] +
                       [(tw, i) for i in range(12, 16)] +
                       [(tw + read_4, i) for i in range(16, 20)])
@@ -180,7 +181,8 @@ def test_access_range_is_the_walk_of_one_range(policy_cls):
     for one_range in (True, False):
         sim, m, dev = build(dram=64, flash=1024)
         pol = policy_cls(m, dev, fault_overhead_us=0)
-        pol.access_log = []
+        log = []
+        pol.access_log = log.append
         ctx = pol.register(m.new_context("a"))
         pol.on_allocate(ctx, 0, 8, 0)
         m.create(ctx, 8, 16, tier=FLASH, dirty=False)
@@ -190,7 +192,7 @@ def test_access_range_is_the_walk_of_one_range(policy_cls):
             else:
                 pol.walk(ctx, [(lo, hi)], t, True, False, ends.append)
         sim.drain()
-        logs.append((pol.access_log, pol.snapshot_counters(),
+        logs.append((logged_accesses(log), pol.snapshot_counters(),
                      sorted((c.lo, c.hi, c.tier) for c in set(ctx.pages.values()))))
     assert logs[0] == logs[1]
     assert ends[:3] == ends[3:]

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import RecordingPolicy, build
+from helpers import RecordingPolicy, build, logged_accesses
 from oracles import (ReplayedStream, draw_record_reference,
                      load_trace_reference, noise_pick_reference,
                      splitmix64_reference)
@@ -741,7 +741,8 @@ def test_driver_replays_in_timestamp_order(tmp_path):
 
 def _replay(records, log_to):
     sim, m, dev, pol = swap_stack(dram=32, flash=512, overhead=0)
-    pol.access_log = []
+    log = []
+    pol.access_log = log.append
     driver = TraceDriver(sim, m, pol, records)
     driver.start()
     if records:
@@ -752,9 +753,8 @@ def _replay(records, log_to):
         for c in ctx.pages.values():
             for idx in range(c.lo, c.hi):
                 tiers[(cid, idx)] = c.tier
-    log_to.write_text(
-        "".join(f"{t} {cid} {idx} {op}\n" for t, cid, idx, op in pol.access_log))
-    return pol.access_log, dict(pol.counters), tiers
+    log_to.write_text("".join(log))
+    return logged_accesses(log), dict(pol.counters), tiers
 
 
 def test_dumped_run_replays_to_the_same_fault_sequence(tmp_path):
