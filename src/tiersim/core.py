@@ -2,6 +2,11 @@
 
 Events at the same timestamp fire in scheduling order (monotonic sequence
 number breaks ties), so a run is a pure function of config + seed.
+
+Events scheduled one after another for the same future time share one heap
+entry (see Simulator): the critical service's threads, which finish in
+step, then cost one push and one pop per burst rather than per event. The
+firing order, seqs and event log are those of one entry per event.
 """
 
 import gc
@@ -118,25 +123,55 @@ def mix_seed(*parts: int) -> int:
 
 class Simulator:
     """The event queue and its clock. `event_log` is a sink: None, or a
-    callable (a file's `write`) fed each event's line before the event runs."""
+    callable (a file's `write`) fed each event's line before the event runs.
 
-    __slots__ = ("now", "_heap", "_seq", "event_log", "post_event_hook")
+    An event due at the time of the heap entry pushed last, while that time
+    is later than `now`, joins that entry instead of taking its own: it is
+    kept in `_joined` under the entry's first seq, and `run` fires it right
+    after the entry's first event. The critical service's threads finish in
+    step, so a burst of simultaneous completions costs one push and one pop.
+    The order is that of a plain (time, seq) heap: the joined events take
+    the seqs that follow the entry's own, an entry for that time pushed
+    earlier has smaller seqs and pops first, and one pushed later has
+    larger seqs. An entry due at `now` is never joined, as it may be the
+    one being fired; one due later has not been popped. Each joined event
+    keeps its own seq, log line, post_event_hook call and count.
+
+    If an event or the hook raises, the events of its entry that follow it
+    are queued again as an entry of their own, as a plain heap would have
+    kept them, and a later `run` fires them."""
+
+    __slots__ = ("now", "_heap", "_seq", "_joined", "_last_at", "_last_seq",
+                 "event_log", "post_event_hook")
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
+        self._joined = {}       # first seq of an entry -> [(kind, fn), ...]
+        self._last_at = -1      # time and seq of the entry pushed last
+        self._last_seq = -1
         self.event_log = None
         self.post_event_hook = None  # invariant checks in tests
 
     def schedule(self, at: int, kind: str, fn) -> int:
-        if at < self.now:
+        now = self.now
+        if at < now:
             raise SimulationError(
-                f"schedule into the past: at={at} now={self.now} kind={kind}"
+                f"schedule into the past: at={at} now={now} kind={kind}"
             )
         seq = self._seq
         self._seq = seq + 1
+        if at == self._last_at and at > now:
+            group = self._joined.get(self._last_seq)
+            if group is None:
+                self._joined[self._last_seq] = [(kind, fn)]
+            else:
+                group.append((kind, fn))
+            return seq
         heappush(self._heap, (at, seq, kind, fn))
+        self._last_at = at
+        self._last_seq = seq
         return seq
 
     def run(self, until: int) -> int:
@@ -155,9 +190,12 @@ class Simulator:
         raises. tests/test_core.py checks that invariant."""
         processed = 0
         heap = self._heap
+        joined = self._joined
         pop = heappop
         log = self.event_log
         hook = self.post_event_hook
+        seq = first = -1
+        group = None
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -170,12 +208,39 @@ class Simulator:
                 processed += 1
                 if hook is not None:
                     hook()
+                if joined and seq in joined:
+                    first = seq
+                    group = joined.pop(seq)
+                    for kind, fn in group:
+                        seq += 1
+                        if log is not None:
+                            log(f"{at}\t{seq}\t{kind}\n")
+                        fn(at)
+                        if hook is not None:
+                            hook()
+                    processed += len(group)
+                    group = None
+        except BaseException:
+            # the events of the entry after the one that raised
+            rest = (group[seq - first:] if group is not None
+                    else joined.pop(seq, None))
+            if rest:
+                self._requeue(at, seq + 1, rest)
+            raise
         finally:
             if was_enabled:
                 gc.enable()
         if self.now < until:
             self.now = until
         return processed
+
+    def _requeue(self, at: int, seq: int, rest: list) -> None:
+        """Queue again the events `rest` of a fired entry, the first of
+        which has seq `seq`, after one before them raised."""
+        kind, fn = rest[0]
+        heappush(self._heap, (at, seq, kind, fn))
+        if len(rest) > 1:
+            self._joined[seq] = rest[1:]
 
     def drain(self) -> int:
         """Run until the queue is empty."""

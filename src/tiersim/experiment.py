@@ -124,7 +124,7 @@ def run_sweep(cfg, out_dir, jobs=1, dump_events=False, dump_accesses=False):
         ))
     if jobs > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             summaries = list(pool.map(_collected_point, args))
     else:
         summaries = [_collected_point(a) for a in args]

@@ -190,7 +190,8 @@ class Device:
         sources stay on flash until dispatch, marked with the pending
         request so other planners skip them."""
         if klass not in (EVICT, PREFETCH):
-            raise SimulationError(f"background class must be evict or prefetch")
+            raise SimulationError(
+                f"background class must be EVICT or PREFETCH, got {klass!r}")
         write = klass == EVICT
         pages = sum(c.hi - c.lo for c in cohorts)
         if pages == 0:

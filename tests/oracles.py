@@ -6,6 +6,7 @@ structures shared with the package under test.
 
 import bisect
 
+from tiersim.core import SimulationError
 from tiersim.workload import TraceError
 
 _MASK64 = (1 << 64) - 1
@@ -38,6 +39,54 @@ class LruOracle:
             self.evicted.append(self.order.pop(0))
         self.order.append(key)
         return True
+
+
+class KernelOracle:
+    """The event kernel as a flat list of pending events, one per schedule,
+    each fired in (time, seq) order by a linear scan: the order, seqs, log
+    lines and counts Simulator must give. Same interface as Simulator; like
+    it, run reads the log and the hook once per call, and an event that
+    raises is gone while the rest stay pending."""
+
+    def __init__(self):
+        self.now = 0
+        self.pending = []   # (at, seq, kind, fn), in schedule order
+        self.next_seq = 0
+        self.event_log = None
+        self.post_event_hook = None
+
+    def schedule(self, at, kind, fn):
+        if at < self.now:
+            raise SimulationError(f"schedule into the past: at={at} now={self.now}")
+        seq = self.next_seq
+        self.next_seq += 1
+        self.pending.append((at, seq, kind, fn))
+        return seq
+
+    def run(self, until):
+        log, hook = self.event_log, self.post_event_hook
+        processed = 0
+        while self.pending:
+            event = min(self.pending)   # seqs are unique: (at, seq) decide
+            at, seq, kind, fn = event
+            if at > until:
+                break
+            self.pending.remove(event)
+            self.now = at
+            if log is not None:
+                log(f"{at}\t{seq}\t{kind}\n")
+            fn(at)
+            processed += 1
+            if hook is not None:
+                hook()
+        self.now = max(self.now, until)
+        return processed
+
+    def drain(self):
+        processed = 0
+        while self.pending:
+            processed += self.run(min(e[0] for e in self.pending))
+        return processed
 
 
 def percentile_oracle(samples, p):

@@ -8,7 +8,7 @@ import pytest
 import tiersim
 from tiersim.cli import main
 from tiersim.config import resolve
-from tiersim.experiment import sweep_plan
+from tiersim.experiment import run_sweep, sweep_plan
 from tiersim.metrics import Collector
 from tiersim.report import CSV_COLUMNS, write_sweep_csv, read_sweep_csv
 
@@ -161,6 +161,36 @@ def test_a_serial_sweep_loads_no_process_pool(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_parallel_sweep_starts_no_more_workers_than_points(tmp_path,
+                                                             monkeypatch):
+    """A pool that forks its workers at the first submit is asked for one
+    per point at most. A stand-in records the request and runs the points
+    here, so no process starts."""
+    import concurrent.futures
+
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = resolve(None, {"policy": "swap", "device": "flash",
+                         "containers": "1,3", "duration_s": "0.2",
+                         "warmup_s": "0.1"})
+    rows = run_sweep(cfg, str(tmp_path), 64)
+    assert asked == [2] and [r.containers for r in rows] == [1, 3]
 
 
 def test_capacity_exhaustion_aborts_with_code_two(tmp_path, capsys):

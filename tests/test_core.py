@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import build
-from oracles import mix_seed_reference, splitmix64_reference
+from oracles import KernelOracle, mix_seed_reference, splitmix64_reference
+from tiersim import core
 from tiersim.config import resolve
 from tiersim.core import (BLOCK, Simulator, SplitMix64, SimulationError, _block,
                           mix_seed)
@@ -86,6 +87,190 @@ def test_an_event_that_raises_leaves_the_collector_as_it_was(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# -- same-time events share a heap entry --------------------------------------
+
+def test_a_burst_for_one_future_time_shares_one_heap_entry():
+    sim = Simulator()
+    fired = []
+    seqs = [sim.schedule(50, f"e{i}", lambda t, i=i: fired.append((t, i)))
+            for i in range(16)]
+    assert len(sim._heap) == 1
+    assert seqs == list(range(16))
+    assert sim.run(50) == 16
+    assert fired == [(50, i) for i in range(16)]
+    assert not sim._heap and not sim._joined
+
+
+def test_a_schedule_for_another_time_starts_a_new_entry():
+    sim = Simulator()
+    fired = []
+    for kind, at in (("a", 50), ("b", 50), ("x", 60), ("c", 50), ("d", 50)):
+        sim.schedule(at, kind, lambda t, kind=kind: fired.append(kind))
+    assert len(sim._heap) == 3
+    assert sim.drain() == 5
+    assert fired == ["a", "b", "c", "d", "x"]
+
+
+def test_a_schedule_for_the_current_time_never_joins():
+    """Neither inside an event, where the entry pushed last may be the one
+    being fired, nor after a run that stopped on its time."""
+    sim = Simulator()
+    fired, entries = [], []
+
+    def fire(t):
+        for k in range(3):
+            sim.schedule(t, f"now{k}", lambda t, k=k: fired.append(k))
+        entries.append(len(sim._heap))
+
+    sim.schedule(10, "first", fire)
+    assert sim.run(10) == 4
+    assert entries == [3] and fired == [0, 1, 2]
+    for k in range(3):
+        sim.schedule(10, f"after{k}", lambda t, k=k: fired.append(k))
+    assert len(sim._heap) == 3
+    assert sim.run(10) == 3 and fired == [0, 1, 2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("raiser", ["event-a", "event-b", "event-c",
+                                    "hook-a", "hook-b"])
+def test_an_event_that_raises_keeps_its_neighbours_queued(raiser):
+    """a, b and c share a time; the one named raises, from its event or
+    from the hook after it. Those after it stay queued, with their seqs and
+    log lines, and a second run fires them, as a plain heap would."""
+    source, name = raiser.split("-")
+    sim = Simulator()
+    fired, lines = [], []
+    sim.event_log = lines.append
+
+    def event(kind):
+        def fire(t):
+            fired.append(kind)
+            if source == "event" and kind == name:
+                raise SimulationError(kind)
+        return fire
+
+    def hook():
+        if source == "hook" and fired[-1] == name:
+            raise SimulationError(name)
+
+    sim.post_event_hook = hook
+    for kind in "abc":
+        sim.schedule(5, kind, event(kind))
+    with pytest.raises(SimulationError, match=name):
+        sim.run(5)
+    rest = "abc"["abc".index(name) + 1:]
+    assert fired == list("abc"[:len(fired)]) and fired[-1] == name
+    assert sim.run(5) == len(rest)
+    assert fired == list("abc")
+    assert lines == [f"5\t{i}\t{kind}\n" for i, kind in enumerate("abc")]
+    assert sim.now == 5 and not sim._heap
+
+
+def _play(kernel, seed):
+    """One seeded schedule on `kernel`, and all it lets a caller see: each
+    event's (at, seq, kind) as it fires, each run or drain call's return
+    value or raise and the clock after it, and the event log.
+
+    Events schedule others at their own time, in bursts of up to 16 for one
+    later time, and for a time between two halves of a burst; between run
+    calls more are scheduled for `now` and later. Each event's conduct
+    comes from its own seq, so a misordered kernel diverges at once.
+    About 3% of events raise. Two seeds in three log their events, every
+    other seed has a hook, and on every fourth the hook raises too."""
+    rnd = random.Random(seed)
+    fired, calls, lines = [], [], []
+    if seed % 3:
+        kernel.event_log = lines.append
+    budget = [rnd.randint(40, 240)]
+    hook_raises = set(rnd.sample(range(1, 200), 3)) if seed % 4 == 0 else set()
+    hook_calls = [0]
+
+    def hook():
+        hook_calls[0] += 1
+        if hook_calls[0] in hook_raises:
+            raise SimulationError(f"hook {hook_calls[0]}")
+
+    if seed % 2 == 0:
+        kernel.post_event_hook = hook
+
+    def add(at, kind):
+        if budget[0] <= 0:
+            return
+        budget[0] -= 1
+        cell = []
+
+        def fire(t):
+            seq = cell[0]
+            fired.append((t, seq, kind))
+            own = random.Random(seed * 1_000_003 + seq)
+            if own.random() < 0.03:
+                raise SimulationError(f"event {seq}")
+            for _ in range(own.choice((0, 1, 1, 1, 2, 3))):
+                spawn(t, own)
+
+        cell.append(kernel.schedule(at, kind, fire))
+
+    def spawn(t, r):
+        shape = r.choice(("now", "burst", "burst", "split", "one"))
+        d = r.choice((1, 2, 5, 10, 25))
+        if shape == "now":
+            for _ in range(r.randint(1, 3)):
+                add(t, "now")
+        elif shape == "burst":
+            for _ in range(r.randint(2, 16)):
+                add(t + d, "burst")
+        elif shape == "split":
+            add(t + d, "split")
+            add(t + d + r.choice((-1, 1, 3)) if d > 1 else t + d + 1, "other")
+            add(t + d, "split")
+        else:
+            add(t + r.choice((0, 1, 3, d)), "one")
+
+    def call(fn, *args):
+        try:
+            calls.append(fn(*args))
+        except SimulationError as exc:
+            calls.append(str(exc))
+        calls.append(kernel.now)
+
+    for _ in range(rnd.randint(1, 4)):
+        spawn(0, rnd)
+    for _ in range(rnd.randint(0, 30)):
+        call(kernel.run, kernel.now + rnd.choice((0, 1, 3, 5, 10, 25)))
+        if rnd.random() < 0.4:
+            spawn(kernel.now, rnd)
+    while len(calls) < 2 or isinstance(calls[-2], str):
+        call(kernel.drain)
+    return fired, calls, lines
+
+
+def test_the_kernel_matches_a_plain_heap_on_seeded_schedules(monkeypatch):
+    """Simulator and KernelOracle see the same 250 seeded schedules alike.
+    The counts show that the schedules made joined entries (fewer pushes
+    than events) and raised inside them (entries queued again)."""
+    pushes, requeues = [0], [0]
+    push, requeue = core.heappush, Simulator._requeue
+
+    def counted_push(heap, entry):
+        pushes[0] += 1
+        push(heap, entry)
+
+    def counted_requeue(sim, *args):
+        requeues[0] += 1
+        requeue(sim, *args)
+
+    monkeypatch.setattr(core, "heappush", counted_push)
+    monkeypatch.setattr(Simulator, "_requeue", counted_requeue)
+    events = raised = 0
+    for seed in range(250):
+        got, want = _play(Simulator(), seed), _play(KernelOracle(), seed)
+        assert got == want, seed
+        events += len(want[0])
+        raised += sum(isinstance(c, str) for c in want[1])
+    assert pushes[0] < events * 3 // 4
+    assert raised > 250 and requeues[0] > 50
 
 
 # -- no cyclic garbage inside a run ------------------------------------------

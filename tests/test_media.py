@@ -224,3 +224,13 @@ def test_an_evict_queue_that_never_empties_holds_only_waiting_requests():
     sim.drain()
     assert dev.queued_requests(EVICT) == 0 and not dev._queues[EVICT]
     assert dev.stats["evict_ios"] == 40
+
+
+def test_background_rejects_a_demand_request_and_names_its_class():
+    sim, m, dev = build()
+    ctx = m.new_context("a")
+    c = m.create(ctx, 0, 4)
+    with pytest.raises(SimulationError, match=rf"got {DEMAND}$"):
+        dev.submit_background(DEMAND, [c], 0)
+    assert dev.queued_requests(EVICT) == dev.queued_requests(PREFETCH) == 0
+    assert m.census()["inflight"] == 0
