@@ -243,8 +243,12 @@ class Simulator:
             self._joined[seq] = rest[1:]
 
     def drain(self) -> int:
-        """Run until the queue is empty."""
+        """Run until the queue is empty: each pass is one `run` up to the
+        latest time queued when it starts, so `now` ends at the time of the
+        last event fired. An event that a pass fires may queue a later one;
+        the next pass runs it."""
         processed = 0
-        while self._heap:
-            processed += self.run(self._heap[0][0])
+        heap = self._heap
+        while heap:
+            processed += self.run(max(heap)[0])
         return processed

@@ -53,12 +53,6 @@ DORMANT = "dormant"
 ACTIVATING = "activating"
 
 
-def _over_quota_order(rec):
-    """The victim order of over-quota contexts: most over quota first, ties
-    by the context id as a string."""
-    return rec.quota - rec.ctx.resident, rec.key
-
-
 class DmxContext:
     """dmx's state for one registered context. `key`, the context id as a
     string, breaks ties between contexts in victim order."""
@@ -260,6 +254,8 @@ class DmxPolicy(Policy):
         more than the rest of `allow` gives up its first pages."""
         taken = 0
         for plist in rec.levels:
+            if plist.head is None:
+                continue
             for c in plist:
                 if taken == allow:
                     return taken
@@ -280,22 +276,30 @@ class DmxPolicy(Policy):
 
     def _take_victims(self, need, t):
         """Pick up to `need` victim pages and push any dirty ones into one
-        background write. Starts with the most over-quota contexts; if the
-        shortfall persists (nobody over quota but DRAM full) it falls back
-        to the largest residents."""
+        background write. Starts with the most over-quota contexts, ties by
+        `key`; if the shortfall persists (nobody over quota but DRAM full)
+        it falls back to the largest residents, ties by `key` too. Each
+        order is one sort of (sort key, `key`, registration index, rec)
+        tuples: the index keeps registration order between two contexts
+        whose ids have the same string, and no two records are compared."""
         dirty = []
         got = 0
-        overs = [rec for rec in self.contexts.values() if rec.ctx.resident > rec.quota]
         # one sort serves the whole pass: taking from a context moves no
         # other context's key
-        for rec in sorted(overs, key=_over_quota_order):
+        overs = [(rec.quota - rec.ctx.resident, rec.key, i, rec)
+                 for i, rec in enumerate(self.contexts.values())
+                 if rec.ctx.resident > rec.quota]
+        overs.sort()
+        for under, _, _, rec in overs:
             if got >= need:
                 break
-            allow = min(need - got, rec.ctx.resident - rec.quota)
+            allow = min(need - got, -under)
             got += self._victims_from(rec, allow, t, dirty)
         if got < need:
-            for rec in sorted(self.contexts.values(), key=lambda rec: (
-                    -rec.ctx.resident, rec.key)):
+            largest = [(-rec.ctx.resident, rec.key, i, rec)
+                       for i, rec in enumerate(self.contexts.values())]
+            largest.sort()
+            for _, _, _, rec in largest:
                 if got >= need:
                     break
                 got += self._victims_from(rec, need - got, t, dirty)
@@ -396,5 +400,6 @@ class DmxPolicy(Policy):
         rec.window_count += n
         if woke:
             self._wake(rec, t)
-        self._log(t, ctx, lo, hi, "w")
+        if self.access_log is not None:
+            self._log(t, ctx, lo, hi, "w")
         return t

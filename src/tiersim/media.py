@@ -173,7 +173,8 @@ class Device:
         for c in req.cohorts:
             if c.owner is not None:
                 c.owner.remove(c)
-            self.model.transition(c, tier)
+            if c.tier != tier:              # write-backs went TO_FLASH at submit
+                self.model.transition(c, tier)
         svc = service_time_us(self.profile, req.pages, req.write)
         done = start + svc
         self._busy[slot] = done
@@ -193,22 +194,25 @@ class Device:
             raise SimulationError(
                 f"background class must be EVICT or PREFETCH, got {klass!r}")
         write = klass == EVICT
-        pages = sum(c.hi - c.lo for c in cohorts)
+        pages = 0
+        for c in cohorts:
+            if write:
+                if c.owner is not None:
+                    c.owner.remove(c)
+                self.model.transition(c, TO_FLASH)
+            pages += c.hi - c.lo
         if pages == 0:
             return Handle(0, done_t=t)
         batch = self.profile.batch_pages
         chunks = ([(cohorts, pages)] if pages <= batch
                   else _chunk(cohorts, batch, self.model.extract))
         handle = Handle(len(chunks))
+        queue = self._queues[klass]
         for chunk, n in chunks:
             req = Request(klass, write, chunk, n, handle, cb)
             for c in chunk:
-                if write:
-                    if c.owner is not None:
-                        c.owner.remove(c)
-                    self.model.transition(c, TO_FLASH)
                 c.io = req
-            self._queues[klass].append(req)
+            queue.append(req)
         self._dispatch(t)
         return handle
 
@@ -230,11 +234,15 @@ class Device:
             # evict victims went in flight at submit, prefetch sources wait
             # on flash
             src = TO_FLASH if req.write else FLASH
-            live = [c for c in req.cohorts
-                    if c.tier == src and c.io is req and c.ctx.alive]
+            live = []
+            pages = 0
+            for c in req.cohorts:
+                if c.tier == src and c.io is req and c.ctx.alive:
+                    live.append(c)
+                    pages += c.hi - c.lo
             req.cohorts = live
-            req.pages = sum(c.hi - c.lo for c in live)
-            if req.pages == 0:
+            req.pages = pages
+            if pages == 0:
                 q.popleft()
                 self.stats["dropped_requests"] += 1
                 req.handle._finish_one(t)

@@ -174,8 +174,9 @@ class Policy:
     # -- diagnostics -------------------------------------------------------
 
     def _log(self, t, ctx, lo, hi, op):
-        if self.access_log is not None:
-            self.access_log("".join(f"{t} {ctx.cid} {i} {op}\n" for i in range(lo, hi)))
+        """Hand `access_log`, which the caller has found set, the lines of
+        pages [lo, hi)."""
+        self.access_log("".join(f"{t} {ctx.cid} {i} {op}\n" for i in range(lo, hi)))
 
     def snapshot_counters(self) -> dict:
         out = dict(self.counters)

@@ -98,5 +98,6 @@ class SwapPolicy(Policy):
             c = self.model.create(ctx, cur, cur + take, DRAM, dirty=True)
             self.lru.append(c)
             cur += take
-        self._log(t, ctx, lo, hi, "w")
+        if self.access_log is not None:
+            self._log(t, ctx, lo, hi, "w")
         return ready

@@ -203,6 +203,18 @@ def test_capacity_exhaustion_aborts_with_code_two(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_a_failed_check_exits_three_with_a_fail_line(tmp_path, capsys):
+    """A disk swap sweep whose containers never outgrow DRAM has no cliff
+    to find: baseline-cliff fails and --check exits 3."""
+    out = tmp_path / "results"
+    assert main(["--policy", "swap", "--device", "disk", "--containers", "0,1",
+                 "--duration", "0.4", "--warmup", "0.1", "--check",
+                 "--out", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL baseline-cliff: ") and "crossing_idx=None"
+               in line for line in lines)
+
+
 def test_trace_replay_end_to_end(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text("0 a 0 w\n100 a 0 r\n200 b 3 w\n")

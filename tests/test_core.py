@@ -56,6 +56,19 @@ def test_drain_empties_the_queue():
     assert out == [7]
 
 
+def test_drain_fires_an_event_queued_past_everything_it_started_with():
+    """drain runs up to the latest time queued when a pass starts; an event
+    that pass fires may queue a later one, which the next pass fires, and
+    the clock ends at its time."""
+    sim = Simulator()
+    out = []
+    sim.schedule(10, "early", lambda t: sim.schedule(t + 100, "late", out.append))
+    sim.schedule(20, "last", out.append)
+    assert sim.drain() == 3
+    assert out == [20, 110]
+    assert sim.now == 110 and not sim._heap
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_pauses_the_collector_and_restores_it(enabled):
     sim = Simulator()

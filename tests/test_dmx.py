@@ -415,6 +415,28 @@ def test_a_short_first_victim_context_hands_over_in_quota_order():
     m.check_full()
 
 
+@pytest.mark.parametrize("cids", [(1, "1"), ("1", 1)])
+def test_contexts_whose_ids_print_alike_give_up_pages_in_registration_order(cids):
+    """Two contexts with the same `key` and the same standing are taken in
+    the order they registered, in the over-quota pass and in the
+    largest-residents fallback, and their records are never compared."""
+    sim, m, dev, pol = dmx_stack(dram=1000, flash=4096)
+    first, second = (pol.register(m.new_context(cid)) for cid in cids)
+    for ctx in (first, second):
+        pol.on_allocate(ctx, 0, 100, 0)
+        pol.contexts[ctx].quota = 80       # both 20 pages over
+    assert pol._take_victims(30, 0) == 30
+    assert (first.resident, second.resident) == (80, 90)
+    pol.contexts[first].quota = pol.contexts[second].quota = 90
+    pol.on_allocate(first, 100, 110, 0)    # nobody over quota, equal residents
+    assert (first.resident, second.resident) == (90, 90)
+    assert pol._take_victims(15, 0) == 15
+    assert (first.resident, second.resident) == (75, 90)
+    sim.drain()
+    assert pol.counters["evictions"] == 45
+    m.check_full()
+
+
 def test_victims_leave_lowest_level_first_from_the_head():
     sim, m, dev, pol = dmx_stack()
     ctx = pol.register(m.new_context("a"))
@@ -534,6 +556,22 @@ def test_evicting_an_untouched_prefetched_page_is_a_misprediction():
     assert pol.counters["mispredictions"] == 8
     assert pol.counters["evictions"] == 8
     assert sim.drain() == 0                    # prefetched pages land clean
+
+
+def test_a_dram_hit_credits_a_prefetched_run_its_own_pages_once():
+    """A prefetched run that starts past page 0 lands whole; the first hit
+    on it credits exactly its pages as prefetch hits, a second hit none."""
+    sim, m, dev, pol = dmx_stack()
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=64, resident=10)
+    pol._wake(rec, 0)
+    sim.drain()
+    run = m.lookup(ctx, 10)
+    assert (run.lo, run.hi, run.tier, run.prefetched) == (10, 64, DRAM, True)
+    for t in (1000, 2000):
+        pol.access_range(ctx, 10, 64, t)
+        assert pol.counters["prefetch_hits"] == 54
+    assert pol.counters["mispredictions"] == 0
+    assert not run.prefetched
 
 
 # -- whole-policy property smoke -------------------------------------------
