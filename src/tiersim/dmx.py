@@ -20,7 +20,7 @@ expiry. The expiry wheel holds only the runs a tick can demote or reset,
 those with level > 0 or freq != 1: each listed one once, in the bucket of
 its expiry window. A sweep therefore visits only runs that demote, and
 ages each of them exactly. A touched run moves to the bucket of its new
-expiry; a run demoted to level 0, evicted or torn down leaves the wheel. So
+expiry; a run demoted to level 0 or evicted leaves the wheel. So
 the wheel stays at one entry per such run even when no tick runs.
 
 Victim order: most-over-quota context first; within a context, each level
@@ -99,17 +99,6 @@ class DmxPolicy(Policy):
         self.contexts[ctx] = DmxContext(ctx, self.levels)
         self.rebalance_quotas()
         return ctx
-
-    def on_teardown(self, ctx):
-        for c in ctx.pages.values():
-            if c.tier == DRAM and c.prefetched:
-                self.counters["mispredictions"] += c.hi - c.lo
-        for plist in self.contexts.pop(ctx).levels:
-            for c in plist:
-                if c.level or c.freq != 1:
-                    self._wheel_drop(c)
-        self.model.teardown(ctx)
-        self.rebalance_quotas()
 
     # -- frequency queues --------------------------------------------------
 
@@ -363,7 +352,7 @@ class DmxPolicy(Policy):
             self._finish_activation(rec)
 
     def _finish_activation(self, rec):
-        if rec.ctx.alive and rec.state == ACTIVATING:
+        if rec.state == ACTIVATING:
             rec.state = ACTIVE
             rec.hot_set = None
             rec.low_windows = 0

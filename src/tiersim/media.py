@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import SimulationError, US_PER_S
-from .memory import PAGE_BYTES, DRAM, FLASH, TO_DRAM, TO_FLASH, DEAD
+from .memory import PAGE_BYTES, DRAM, FLASH, TO_DRAM, TO_FLASH
 
 DEMAND = 0
 EVICT = 1
@@ -237,7 +237,7 @@ class Device:
             live = []
             pages = 0
             for c in req.cohorts:
-                if c.tier == src and c.io is req and c.ctx.alive:
+                if c.tier == src and c.io is req:
                     live.append(c)
                     pages += c.hi - c.lo
             req.cohorts = live
@@ -262,8 +262,6 @@ class Device:
             if c.io is not req:
                 continue
             c.io = None
-            if c.tier == DEAD:
-                continue  # context torn down mid-flight
             if req.write:
                 self.model.transition(c, FLASH)
                 c.dirty = False
@@ -279,8 +277,3 @@ class Device:
             req.cb(req, landed, t)
         req.handle._finish_one(t)
         self._dispatch(t)
-
-    # -- diagnostics -------------------------------------------------------
-
-    def queued_requests(self, klass) -> int:
-        return len(self._queues[klass])

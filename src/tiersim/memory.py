@@ -25,7 +25,7 @@ pages. A workload that puts hundreds of thousands of cohorts in one context
 needs a blocked or tree index here instead.
 
 Tier states: DRAM, FLASH, TO_DRAM (a read in flight that holds its frame),
-TO_FLASH (a write-back in flight), DEAD after teardown.
+TO_FLASH (a write-back in flight).
 Census identity: dram + flash + inflight == total allocated, always.
 Pages are born dirty (their first content has never been written back).
 """
@@ -39,11 +39,10 @@ PAGE_BYTES = 4096
 DRAM = 0
 FLASH = 1
 TO_DRAM = 2     # in flight: demand or prefetch read
-DEAD = 3
 TO_FLASH = 4    # in flight: write-back
 
 TIER_NAMES = {DRAM: "dram", FLASH: "flash", TO_DRAM: "to-dram",
-              TO_FLASH: "to-flash", DEAD: "dead"}
+              TO_FLASH: "to-flash"}
 
 
 class Cohort:
@@ -169,11 +168,10 @@ class PageList:
 
 
 class Context:
-    __slots__ = ("cid", "alive", "pages", "starts", "resident")
+    __slots__ = ("cid", "pages", "starts", "resident")
 
     def __init__(self, cid):
         self.cid = cid
-        self.alive = True
         self.pages = {}          # first page -> Cohort
         self.starts = []         # the keys of `pages`, ascending
         self.resident = 0        # DRAM pages held by this context
@@ -201,23 +199,6 @@ class MemoryModel:
         self.contexts[cid] = ctx
         return ctx
 
-    def teardown(self, ctx: Context):
-        """Release every page synchronously. Cohorts become DEAD; queued or
-        in-flight requests referencing them are dropped at dispatch/completion
-        by tier checks."""
-        if not ctx.alive:
-            raise SimulationError(f"teardown of dead context {ctx.cid!r}")
-        pages = ctx.pages
-        for lo in ctx.starts:
-            c = pages[lo]
-            self.transition(c, DEAD)
-            if c.owner is not None:
-                c.owner.remove(c)
-        pages.clear()
-        ctx.starts = []
-        ctx.alive = False
-        del self.contexts[ctx.cid]
-
     # -- page creation and lookup -----------------------------------------
 
     def free_frames(self) -> int:
@@ -227,8 +208,6 @@ class MemoryModel:
         n = hi - lo
         if n <= 0:
             raise SimulationError("empty page range")
-        if not ctx.alive:
-            raise SimulationError(f"allocation in dead context {ctx.cid!r}")
         if self.total + n > self.dram_pages + self.flash_pages:
             raise SimulationError(
                 f"capacity exhausted: {self.total} allocated + {n} requested "
@@ -262,8 +241,6 @@ class MemoryModel:
     def lookup(self, ctx: Context, idx: int):
         """The cohort holding page idx, or None: a first page is one dict
         read, any other page one predecessor search of the index."""
-        if not ctx.alive:
-            raise SimulationError(f"access to dead context {ctx.cid!r}")
         pages = ctx.pages
         c = pages.get(idx)
         if c is None:
@@ -283,8 +260,6 @@ class MemoryModel:
         old = c.tier
         if old == tier:
             return
-        if old == DEAD:
-            raise SimulationError("transition from DEAD cohort")
         if tier not in TIER_NAMES:
             raise SimulationError("bad tier")
         if tier == DRAM and self.dram_used + n > self.dram_pages:
@@ -312,10 +287,8 @@ class MemoryModel:
         elif tier == TO_DRAM:
             self.inflight += n
             self.inflight_in += n
-        elif tier == TO_FLASH:
+        else:                               # TO_FLASH
             self.inflight += n
-        else:                               # DEAD: released for good
-            self.total -= n
         c.tier = tier
 
     # -- splitting ---------------------------------------------------------
@@ -424,7 +397,8 @@ class MemoryModel:
                 elif c.tier == TO_FLASH:
                     inflight += n
                 else:
-                    raise SimulationError(f"DEAD cohort reachable: {c}")
+                    raise SimulationError(
+                        f"cohort [{lo},{c.hi}) of {ctx.cid!r} in unknown tier {c.tier!r}")
             if ctx_resident != ctx.resident:
                 raise SimulationError(
                     f"context {ctx.cid!r} resident count drifted: "

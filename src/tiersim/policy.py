@@ -56,9 +56,6 @@ class Policy:
     def register(self, ctx):
         return ctx
 
-    def on_teardown(self, ctx):
-        self.model.teardown(ctx)
-
     def tick(self, t):
         """No periodic work by default."""
 
@@ -71,13 +68,11 @@ class Policy:
         stops there and returns (t_now, handle, next_idx): the time it got
         there, the write-back's handle to wait on, and the page to re-call
         from once it lands."""
-        if not ctx.alive:
-            raise SimulationError(f"access to dead context {ctx.cid!r}")
         return self.walk(ctx, [(lo, hi)], t, batch, write, None)
 
     def walk(self, ctx, ranges, t, batch, write, done):
         """Touch each (lo, hi) of the list `ranges` in order, starting at t,
-        then call done(t_end). A walk on a dead context does nothing.
+        then call done(t_end).
 
         Each range is logged when the walk reaches it, and ends with one
         `_on_walked` call that carries the time the walk reached it. A walk
@@ -91,8 +86,6 @@ class Policy:
         With done=None the walk hands nothing a resumption and calls
         nothing: it returns access_range's tuple instead.
         """
-        if not ctx.alive:
-            return
         cohort_at = ctx.pages.get
         t_now = t
         for i, (lo, hi) in enumerate(ranges):
@@ -165,7 +158,8 @@ class Policy:
                         batch=batch, write=write, done=done))
                     return
                 else:
-                    raise SimulationError(f"access to dead cohort {c!r}")
+                    raise SimulationError(
+                        f"access to page {ctx.cid!r}:{cur} in unknown tier {c.tier!r}")
             self._on_walked(ctx, lo, hi, t0, False)
         if done is None:
             return t_now, None, None

@@ -53,10 +53,10 @@ class NoiseCatalog:
 
 def walk_ranges(policy, ctx, ranges, t, batch, write, done):
     """Walk each (lo, hi) of the list `ranges` in order through the policy
-    in one call (Policy.walk), then call done(t_end). A walk on a dead
-    context does nothing. The critical service and the noise clients walk
-    through this module global, so one name covers each walk they start;
-    the trace replay, one page per access, calls Policy.walk directly."""
+    in one call (Policy.walk), then call done(t_end). The critical service
+    and the noise clients walk through this module global, so one name
+    covers each walk they start; the trace replay, one page per access,
+    calls Policy.walk directly."""
     policy.walk(ctx, ranges, t, batch, write, done)
 
 
@@ -104,7 +104,7 @@ class NoiseSystem:
         lo, hi = self.catalog.images[img]
         self.requests += 1
         # an image's first page stays a key of ctx.pages once born: cohorts
-        # never merge and noise contexts are never torn down
+        # never merge and a context never gives a page back
         if lo not in ctx.pages:
             ready = self.policy.on_allocate(ctx, lo, hi, t)
             self._rest(ready)

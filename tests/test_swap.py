@@ -174,20 +174,6 @@ def test_baseline_never_issues_background_io():
     assert snap["writeback_pages"] == dev.stats["pages_written"]
 
 
-def test_teardown_forgets_the_contexts_pages():
-    sim, m, dev, pol = swap_stack(dram=8)
-    a = pol.register(m.new_context("a"))
-    b = pol.register(m.new_context("b"))
-    pol.on_allocate(a, 0, 4, 0)
-    pol.on_allocate(b, 0, 4, 0)
-    pol.on_teardown(a)
-    assert lru_pages(pol) == [("b", i) for i in range(4)]
-    pol.on_allocate(b, 4, 10, 0)            # reclaim must skip the dead pages
-    sim.drain()
-    assert pol.counters["evictions"] == 2
-    m.check_full()
-
-
 def test_access_log_records_every_page_touch():
     sim, m, dev, pol = swap_stack()
     log = []

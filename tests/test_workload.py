@@ -10,7 +10,7 @@ from oracles import (ReplayedStream, draw_record_reference,
                      load_trace_reference, noise_pick_reference,
                      splitmix64_reference)
 from tiersim.config import resolve
-from tiersim.core import SimulationError, SplitMix64, Simulator
+from tiersim.core import SplitMix64, Simulator
 from tiersim.dmx import DmxPolicy
 from tiersim.experiment import run_trace
 from tiersim.memory import FLASH, Context, MemoryModel
@@ -97,43 +97,6 @@ def test_cold_image_walk_faults_every_page_in_one_cluster():
     assert pol.counters["demand_faults"] == 50
     assert pol.counters["fault_clusters"] == 1
     assert ends == [6271]                   # 6000 overhead + 271us 50-page read
-
-
-def test_walk_abandons_when_the_context_dies():
-    sim, m, dev, pol = swap_stack(dram=1, flash=64)
-    ctx = pol.register(m.new_context("n"))
-    pol.on_allocate(ctx, 0, 1, 0)
-    pol.on_allocate(ctx, 1, 2, 0)           # page 0 drains to flash
-    ends = []
-    walk_ranges(pol, ctx, [(0, 1)], 0, batch=True, write=False,
-                done=ends.append)
-    pol.on_teardown(ctx)
-    sim.drain()
-    assert ends == []
-
-
-@pytest.mark.parametrize("policy_cls", [SwapPolicy, DmxPolicy],
-                         ids=["swap", "dmx"])
-def test_access_to_a_torn_down_context_is_fatal(policy_cls):
-    sim, m, dev = build(dram=64, flash=512)
-    pol = policy_cls(m, dev)
-    ctx = pol.register(m.new_context("n"))
-    pol.on_allocate(ctx, 0, 8, 0)
-    pol.on_teardown(ctx)
-    with pytest.raises(SimulationError, match="dead context"):
-        pol.access_range(ctx, 0, 8, 10)
-
-
-def test_walk_on_a_dead_context_does_nothing():
-    sim, m, dev, pol = swap_stack(dram=64, flash=512)
-    ctx = pol.register(m.new_context("n"))
-    pol.on_allocate(ctx, 0, 8, 0)
-    pol.on_teardown(ctx)
-    ends = []
-    walk_ranges(pol, ctx, [(0, 8)], 10, batch=False, write=False,
-                done=ends.append)
-    sim.drain()
-    assert ends == []
 
 
 def test_walk_resumes_where_it_waited():
