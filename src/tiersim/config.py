@@ -153,6 +153,9 @@ def validate(cfg):
         raise ConfigError(
             f"critical.skew={cfg['critical.skew']!r} makes the hot-record "
             "weights or their total overflow")
+    if cfg["critical.cold_records"] > 1 << 64:
+        # a cold pick is randrange(cold_records), which draws from 64 bits
+        raise ConfigError("critical.cold_records must be at most 2**64")
     if not (0.0 <= cfg["critical.cold_frac"] <= 1.0):
         raise ConfigError("critical.cold_frac must be in [0, 1]")
     if not (0.0 < cfg["dmx.alpha"] <= 1.0):

@@ -106,9 +106,12 @@ class SplitMix64:
 
 def rejection_limit(n: int) -> int:
     """randrange(n) keeps an output below this limit, a multiple of n, and
-    returns it modulo n, so that every residue is equally likely."""
+    returns it modulo n, so that every residue is equally likely. An n
+    above 2**64 would give a limit of 0, which no output is below."""
     if n <= 0:
         raise ValueError(f"randrange bound must be positive, got {n}")
+    if n > 1 << 64:
+        raise ValueError(f"randrange bound must be at most 2**64, got {n}")
     return (1 << 64) - ((1 << 64) % n)
 
 

@@ -75,12 +75,11 @@ class Cohort:
 class PageList:
     """Intrusive doubly-linked list of cohorts. Head is the coldest end."""
 
-    __slots__ = ("head", "tail", "cohorts", "page_count")
+    __slots__ = ("head", "tail", "page_count")
 
     def __init__(self):
         self.head = None
         self.tail = None
-        self.cohorts = 0
         self.page_count = 0
 
     def append(self, c: Cohort):
@@ -95,7 +94,6 @@ class PageList:
         else:
             self.head = c
         self.tail = c
-        self.cohorts += 1
         self.page_count += c.hi - c.lo
 
     def remove(self, c: Cohort):
@@ -112,7 +110,6 @@ class PageList:
         c.prev = None
         c.next = None
         c.owner = None
-        self.cohorts -= 1
         self.page_count -= c.hi - c.lo
 
     def insert_before(self, c: Cohort, ref: Cohort):
@@ -128,7 +125,6 @@ class PageList:
         else:
             self.head = c
         ref.prev = c
-        self.cohorts += 1
         self.page_count += c.hi - c.lo
 
     def insert_after(self, c: Cohort, ref: Cohort):
@@ -162,9 +158,6 @@ class PageList:
             nxt = node.next
             yield node
             node = nxt
-
-    def __len__(self):
-        return self.cohorts
 
 
 class Context:

@@ -13,9 +13,10 @@ of hot multi-page records (almost every draw) and a long tail of cold
 records (rare draws). Each transaction draws a few records, walks their
 pages in one walk, then finishes after a fixed compute time; threads are
 closed-loop with zero think time. Hot draws are rank-weighted by a
-power-law skew. Each thread is a small object whose bound methods, made
-once, are its events: the walk's done and the txn-done event. A
-transaction builds nothing but its list of records.
+power-law skew. A transaction's records are one step of the record
+stream, which yields them as a new list. Each thread is a small object
+whose bound methods, made once, are its events: the walk's done and the
+txn-done event. A transaction builds nothing but that list.
 
 A trace replay keeps its records in columns (Trace): times and page
 indices in two array("q"), one reference per record to its context's
@@ -26,7 +27,7 @@ columns by index, one record per trace event, and builds no tuple for it.
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate, repeat
 
 from .core import SimulationError, rejection_limit
 
@@ -141,9 +142,10 @@ def _first_true(pred, near):
 
 
 def record_stream(outputs, cum_weight, hot, cold_base, cold_records,
-                  cold_record_pages, cold_frac):
+                  cold_record_pages, cold_frac, per):
     """The critical service's records, (lo, hi) page ranges, drawn from the
-    generator output iterator `outputs`.
+    generator output iterator `outputs`, `per` records a step: each step is
+    a new list of the next `per` records.
 
     A record is cold when cold_records > 0 and x < cold_frac, x uniform in
     [0, 1) as SplitMix64.random() makes it, (v >> 11) * 2.0 ** -53 of the
@@ -151,8 +153,15 @@ def record_stream(outputs, cum_weight, hot, cold_base, cold_records,
     picks it, skipping outputs at or above its rejection limit. Otherwise
     the next x picks a hot record by rank weight: hot[bisect_left(
     cum_weight, x * total weight)]. Each record reads exactly the outputs
-    it needs, and the stream holds nothing but its arguments and its cut
-    points.
+    it needs, and between steps the stream holds no output it has read
+    but not used. So two streams over one `outputs` read one record
+    sequence between them, whatever order their steps are taken in.
+
+    A record's cold test and pick are read as one pair, from zip(outputs,
+    outputs); a rejected cold pick reads its replacements from `outputs`
+    itself, and the next pair follows them. With no cold records there is
+    no cold test: the pairs are (cold_cut, output), a test that always
+    says hot, so a record reads one output.
 
     The stream compares each raw output v with integer cut points, found
     once, instead of making x. With m = v >> 11, x = m * 2**-53 is exact
@@ -177,15 +186,19 @@ def record_stream(outputs, cum_weight, hot, cold_base, cold_records,
     hot_cuts = [_first_true(lambda m: w < (m * unit) * total_weight,
                             w / total_weight) << 11
                 for w in cum_weight]
-    while True:
-        if cold_records and u64() < cold_cut:
-            v = u64()
+    txn = []
+    for test, v in zip(outputs if cold_records else repeat(cold_cut),
+                       outputs):
+        if test < cold_cut:
             while v >= cold_limit:
                 v = u64()
             lo = cold_base + v % cold_records * cold_record_pages
-            yield (lo, lo + cold_record_pages)
+            txn.append((lo, lo + cold_record_pages))
         else:
-            yield hot[bisect_right(hot_cuts, u64())]
+            txn.append(hot[bisect_right(hot_cuts, v)])
+        if len(txn) == per:
+            yield txn
+            txn = []
 
 
 class CriticalService:
@@ -212,11 +225,14 @@ class CriticalService:
         self.cum_weight = list(accumulate(
             (r + 1) ** -skew for r in range(hot_records)))
         self.completed = 0
-        self.records = record_stream(
-            rng.outputs, self.cum_weight,
-            [(lo, lo + hot_record_pages)
-             for lo in range(0, self.hot_pages, hot_record_pages)],
-            self.hot_pages, cold_records, cold_record_pages, cold_frac)
+        # a transaction takes draws_per_txn records a step, draw_record one:
+        # the two streams read one record sequence from rng's outputs
+        hot = [(lo, lo + hot_record_pages)
+               for lo in range(0, self.hot_pages, hot_record_pages)]
+        args = (rng.outputs, self.cum_weight, hot, self.hot_pages,
+                cold_records, cold_record_pages, cold_frac)
+        self.txns = record_stream(*args, draws_per_txn)
+        self.records = record_stream(*args, 1)
 
     def start(self):
         self.policy.on_allocate(self.ctx, 0, self.total_pages, 0)
@@ -224,8 +240,8 @@ class CriticalService:
             TxnThread(self).begin(0)
 
     def draw_record(self):
-        """The next record of the stream transactions draw from."""
-        return next(self.records)
+        """The next record of the sequence transactions draw from."""
+        return next(self.records)[0]
 
 
 class TxnThread:
@@ -245,9 +261,8 @@ class TxnThread:
     def begin(self, t):
         svc = self.svc
         self.t0 = t
-        walk_ranges(svc.policy, svc.ctx,
-                    list(islice(svc.records, svc.draws_per_txn)), t, False,
-                    False, self.done)
+        walk_ranges(svc.policy, svc.ctx, next(svc.txns), t, False, False,
+                    self.done)
 
     def compute(self, te):
         svc = self.svc

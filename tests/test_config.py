@@ -132,6 +132,18 @@ def test_draws_per_txn_must_be_positive(raw):
     assert str(err.value) == "critical.draws_per_txn must be positive"
 
 
+def test_cold_records_past_2_64_are_rejected():
+    """A cold pick draws randrange(cold_records) from 64-bit outputs; with
+    no cold pages the capacity check would let a larger count through."""
+    few = {"critical.cold_record_pages": "0"}
+    assert resolve(few, {"critical.cold_records": str(1 << 64)})[
+        "critical.cold_records"] == 1 << 64
+    for n in ((1 << 64) + 1, 1 << 70):
+        with pytest.raises(ConfigError) as err:
+            resolve(few, {"critical.cold_records": str(n)})
+        assert str(err.value) == "critical.cold_records must be at most 2**64"
+
+
 def test_render_echo_reproduces_the_config(tmp_path):
     cfg = resolve(None, {"policy": "both", "containers": "1:7:3",
                          "dmx.alpha": "0.25"})

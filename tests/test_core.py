@@ -9,7 +9,7 @@ from oracles import KernelOracle, mix_seed_reference, splitmix64_reference
 from tiersim import core
 from tiersim.config import resolve
 from tiersim.core import (BLOCK, Simulator, SplitMix64, SimulationError, _block,
-                          mix_seed)
+                          mix_seed, rejection_limit)
 from tiersim.dmx import DORMANT, DmxPolicy
 from tiersim.experiment import run_point, run_trace
 from tiersim.memory import FLASH
@@ -432,6 +432,16 @@ def test_randrange_singleton_and_bounds():
     assert all(0 <= g.randrange(13) < 13 for _ in range(10_000))
     with pytest.raises(ValueError):
         g.randrange(0)
+
+
+def test_rejection_limit_takes_bounds_up_to_2_64():
+    """Above 2**64 the limit would be 0, and a rejection loop never ends."""
+    assert rejection_limit(1) == 1 << 64
+    assert rejection_limit(1 << 64) == 1 << 64
+    assert rejection_limit((1 << 63) + 1) == (1 << 63) + 1
+    for n in ((1 << 64) + 1, 1 << 65, 3 << 64):
+        with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+            rejection_limit(n)
 
 
 def test_randrange_uniformity_over_a_million_draws():

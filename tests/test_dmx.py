@@ -367,6 +367,25 @@ def test_sleeper_wakes_after_the_first_range_of_a_walk():
     m.check_full()
 
 
+def test_a_birth_wakes_a_sleeper_within_its_quota_headroom():
+    """Born pages count toward the window and toward the context's resident
+    pages, so the wake's prefetch fills only what the birth left of the
+    quota: 40 - (10 resident + 10 born) = 20 of the 54 hot pages on flash."""
+    sim, m, dev, pol = dmx_stack()
+    ctx, rec = _dormant_ctx(pol, m, hot_pages=64, resident=10, quota=40)
+    before = rec.window_count
+    assert pol.on_allocate(ctx, 64, 74, 5) == 5
+    assert rec.state == ACTIVATING
+    assert rec.window_count == before + 10
+    assert pol.counters["prefetch_issued"] == 20
+    assert [m.lookup(ctx, i).tier for i in (9, 10, 29, 30, 64)] == \
+           [DRAM, TO_DRAM, TO_DRAM, FLASH, DRAM]
+    sim.drain()
+    assert rec.state == ACTIVE and rec.hot_set is None
+    assert ctx.resident == 40 and dev.stats["prefetch_ios"] == 1
+    m.check_full()
+
+
 # -- eviction pressure -----------------------------------------------------
 
 def test_pressure_tick_restores_twice_the_reserve():

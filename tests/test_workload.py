@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from itertools import repeat
 from types import SimpleNamespace
 
 import pytest
@@ -322,13 +323,31 @@ def test_each_transaction_walks_draws_per_txn_records(draws):
                       for _ in walked]
 
 
-@pytest.mark.parametrize("draws,cold_records", [(1, 1500), (2, 1500),
-                                                (3, 1500), (2, 0)],
-                         ids=["1", "2", "3", "2-no-cold"])
-def test_transactions_and_draw_record_read_one_record_stream(draws, cold_records):
+def rejected_cold_pick_outputs():
+    """Outputs whose second transaction of two records ends in a cold pick
+    that rejects two outputs; the draw_record after it is hot, and seeded
+    outputs follow."""
+    limit = limit_of(1500)
+    head = [TOP - 1, 5, TOP - 1, 6,                  # txn 0: hot, hot
+            TOP - 1, 7, 0, limit, TOP - 1, limit - 1,  # txn 1: hot, cold
+            TOP - 1, 8]                               # draw_record: hot
+    seeded = SplitMix64(9)
+    return head + [seeded.next_u64() for _ in range(4000)]
+
+
+@pytest.mark.parametrize("draws,cold_records,replay", [
+    (1, 1500, False), (2, 1500, False), (3, 1500, False), (2, 0, False),
+    (2, 1500, True),
+], ids=["1", "2", "3", "2-no-cold", "2-rejected-cold-pick"])
+def test_transactions_and_draw_record_read_one_record_stream(draws, cold_records,
+                                                             replay):
     """Each transaction walks the next draws_per_txn records of the stream,
     and draw_record() calls in between take the records that follow."""
-    rng, ref = SplitMix64(9), splitmix64_reference(9)
+    if replay:
+        outputs = rejected_cold_pick_outputs()
+        rng, ref = ReplayedStream(outputs), ReplayedStream(outputs)
+    else:
+        rng, ref = SplitMix64(9), splitmix64_reference(9)
     pol = RecordingPolicy()
     svc = CriticalService(Simulator(), MemoryModel(16, 16), pol, None, rng,
                           draws_per_txn=draws, cold_records=cold_records)
@@ -338,6 +357,9 @@ def test_transactions_and_draw_record_read_one_record_stream(draws, cold_records
         thread.begin(k)
         assert pol.touched == [("critical",) + draw_record_reference(svc, ref)
                                for _ in range(draws)]
+        if replay and k == 1:
+            lo = svc.hot_pages + (limit_of(1500) - 1) % 1500 * 12
+            assert pol.touched[1] == ("critical", lo, lo + 12)
         for _ in range(k % 3):
             assert svc.draw_record() == draw_record_reference(svc, ref)
     assert rng.next_u64() == ref.next_u64()
@@ -377,7 +399,7 @@ def test_one_fault_inside_a_transaction_adds_its_stall():
     pol.on_allocate(svc.ctx, 0, 1, 0)
     pol._reclaim(1, 0)
     sim.run(500)                            # write-back done, page 0 on flash
-    svc.records = iter([(0, 1)])
+    svc.txns = repeat([(0, 1)])             # every transaction walks page 0
     TxnThread(svc).begin(1000)
     sim.run(7000)
     assert svc.completed == 1
