@@ -149,6 +149,13 @@ def validate(cfg):
         if least is not None and cfg[key] is not None and cfg[key] < least:
             raise ConfigError(
                 f"{key} must be {'positive' if least else 'non-negative'}")
+    # before the weight sum below, which takes time linear in hot_records
+    hot = cfg["critical.hot_records"] * cfg["critical.hot_record_pages"]
+    pages = cfg["mem.dram_pages"] + cfg["mem.flash_pages"]
+    if hot > pages:
+        raise ConfigError(
+            f"critical.hot_records * critical.hot_record_pages = {hot} "
+            f"exceeds the {pages} pages of mem.dram_pages + mem.flash_pages")
     if not _hot_weights_finite(cfg["critical.hot_records"], cfg["critical.skew"]):
         raise ConfigError(
             f"critical.skew={cfg['critical.skew']!r} makes the hot-record "

@@ -25,9 +25,11 @@ the wheel stays at one entry per such run even when no tick runs.
 
 Victim order: most-over-quota context first; within a context, each level
 list is in MQ's LRU order (Zhou, Philbin and Li, USENIX ATC 2001), so the
-victims are the heads of the lowest non-empty level, then the next level's,
-skipping runs with IO pending. A run joins the tail of its level when it
-lands, when a touch hits it (promoted or not) and when aging demotes it.
+victims are the heads of the lowest non-empty level, then the next level's.
+A run joins the tail of its level when it lands, when a touch hits it
+(promoted or not) and when aging demotes it, and leaves its list when it is
+taken as a victim, so the lists hold exactly the DRAM runs, none with IO
+pending.
 Clean victims drop with no IO; dirty ones ride the buffered background
 write class, so a frame shortfall on the fault path is covered instantly
 and never waits out a media write.
@@ -239,8 +241,8 @@ class DmxPolicy(Policy):
 
     def _victims_from(self, rec, allow, t, dirty_out):
         """Take up to `allow` pages from the heads of rec's level lists,
-        lowest level first, skipping runs with IO pending; a run that holds
-        more than the rest of `allow` gives up its first pages."""
+        lowest level first; a run that holds more than the rest of `allow`
+        gives up its first pages."""
         taken = 0
         for plist in rec.levels:
             if plist.head is None:
@@ -248,8 +250,6 @@ class DmxPolicy(Policy):
             for c in plist:
                 if taken == allow:
                     return taken
-                if c.io is not None:
-                    continue
                 take = min(c.hi - c.lo, allow - taken)
                 piece = self.model.extract(c, c.lo, c.lo + take)
                 piece.owner.remove(piece)

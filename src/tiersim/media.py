@@ -17,6 +17,10 @@ finishes. Prefetch reads take frames only at dispatch and stay queued while
 DRAM is full.
 
 Requests never exceed batch_pages; larger submissions split.
+
+The device moves runs between tiers and never touches a policy's page
+list: a policy takes its victims off its list before it submits them, and
+lists a read's runs in the request's callback once they land.
 """
 
 from collections import deque
@@ -61,23 +65,21 @@ def service_time_us(profile: DeviceProfile, pages: int, write: bool) -> int:
 class Handle:
     """Aggregates the sub-requests of one submission."""
 
-    __slots__ = ("remaining", "done_t", "done", "_waiters")
+    __slots__ = ("remaining", "done_t", "_waiters")
 
     def __init__(self, nreqs, done_t=None):
         self.remaining = nreqs
         self.done_t = done_t    # known at submit for demand IO
-        self.done = nreqs == 0
         self._waiters = []
 
     def wait(self, fn):
-        if self.done:
+        if self.remaining == 0:
             raise SimulationError("waiting on a completed handle")
         self._waiters.append(fn)
 
     def _finish_one(self, t):
         self.remaining -= 1
         if self.remaining == 0:
-            self.done = True
             if self.done_t is None or t > self.done_t:
                 self.done_t = t
             waiters, self._waiters = self._waiters, []
@@ -171,8 +173,6 @@ class Device:
         completion is scheduled. Returns the done time."""
         tier = TO_FLASH if req.write else TO_DRAM
         for c in req.cohorts:
-            if c.owner is not None:
-                c.owner.remove(c)
             if c.tier != tier:              # write-backs went TO_FLASH at submit
                 self.model.transition(c, tier)
         svc = service_time_us(self.profile, req.pages, req.write)
@@ -197,8 +197,6 @@ class Device:
         pages = 0
         for c in cohorts:
             if write:
-                if c.owner is not None:
-                    c.owner.remove(c)
                 self.model.transition(c, TO_FLASH)
             pages += c.hi - c.lo
         if pages == 0:

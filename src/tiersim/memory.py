@@ -73,14 +73,19 @@ class Cohort:
 
 
 class PageList:
-    """Intrusive doubly-linked list of cohorts. Head is the coldest end."""
+    """Intrusive doubly-linked list of cohorts. Head is the coldest end.
 
-    __slots__ = ("head", "tail", "page_count")
+    A policy keeps its runs in such lists (swap's global LRU, dmx's MQ
+    levels) under one rule: a run sits in its policy's list exactly while
+    it is in DRAM, and a listed run has no IO pending. A policy takes a run
+    off its list before the run leaves DRAM and lists it when it lands, so
+    the device, which moves runs between tiers, never touches a list."""
+
+    __slots__ = ("head", "tail")
 
     def __init__(self):
         self.head = None
         self.tail = None
-        self.page_count = 0
 
     def append(self, c: Cohort):
         # newest at tail
@@ -94,7 +99,6 @@ class PageList:
         else:
             self.head = c
         self.tail = c
-        self.page_count += c.hi - c.lo
 
     def remove(self, c: Cohort):
         if c.owner is not self:
@@ -110,7 +114,6 @@ class PageList:
         c.prev = None
         c.next = None
         c.owner = None
-        self.page_count -= c.hi - c.lo
 
     def insert_before(self, c: Cohort, ref: Cohort):
         if ref.owner is not self:
@@ -125,7 +128,6 @@ class PageList:
         else:
             self.head = c
         ref.prev = c
-        self.page_count += c.hi - c.lo
 
     def insert_after(self, c: Cohort, ref: Cohort):
         if ref.next is None:
@@ -135,7 +137,7 @@ class PageList:
 
     def move_to_tail(self, c: Cohort):
         """remove(c) then append(c), relinked in one step (Linux's
-        list_move_tail); the counts do not change."""
+        list_move_tail)."""
         if c.owner is not self:
             raise SimulationError("cohort not owned by this list")
         tail = self.tail
@@ -310,13 +312,11 @@ class MemoryModel:
             insort(ctx.starts, hi)
             if lst is not None:
                 lst.insert_before(out, c)
-                lst.page_count -= hi - lo   # moved out of c, not the list
         elif hi == c.hi:
             c.hi = lo                      # out takes the suffix
             insort(ctx.starts, lo)
             if lst is not None:
                 lst.insert_after(out, c)
-                lst.page_count -= hi - lo
         else:
             right = Cohort(ctx, hi, c.hi, c.tier, c.dirty)
             right.freq, right.level, right.expire = c.freq, c.level, c.expire
@@ -329,7 +329,6 @@ class MemoryModel:
             if lst is not None:
                 lst.insert_after(out, c)
                 lst.insert_after(right, c)  # c, right, out
-                lst.page_count -= right.hi - lo
         return out
 
     # -- diagnostics -------------------------------------------------------

@@ -38,9 +38,9 @@ class SwapPolicy(Policy):
 
     def _make_room(self, pages, t):
         need = pages - self.model.free_frames()
-        if need > self.lru.page_count:
+        if need > self.model.dram_used:     # the LRU holds every DRAM page
             raise SimulationError(
-                f"reclaim short: need {need} frames, LRU holds {self.lru.page_count}"
+                f"reclaim short: need {need} frames, LRU holds {self.model.dram_used}"
             )
         return self._reclaim(need, t)
 
@@ -87,7 +87,7 @@ class SwapPolicy(Policy):
             avail = self.model.free_frames()
             if avail == 0:
                 b = self.reclaim_batch
-                target = min(-(-(hi - cur) // b) * b, self.lru.page_count)
+                target = min(-(-(hi - cur) // b) * b, self.model.dram_used)
                 ready = max(ready, self._reclaim(target, t))
                 avail = self.model.free_frames()
                 if avail == 0:

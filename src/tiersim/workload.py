@@ -369,8 +369,7 @@ class TraceDriver:
         self.model = model
         self.policy = policy
         self.trace = trace
-        self.i = 0
-        self.accesses = 0
+        self.accesses = 0       # records fired, so the index of the next one
         self._event = self._fire
 
     def start(self):
@@ -379,14 +378,14 @@ class TraceDriver:
 
     def _fire(self, t):
         trace = self.trace
-        i = self.i
+        i = self.accesses
         cid = trace.cids[i]
         idx = trace.pages[i]
         ctx = self.model.contexts.get(cid)
         if ctx is None:
             ctx = self.model.new_context(cid)
             self.policy.register(ctx)
-        self.accesses += 1
+        self.accesses = i + 1
         # every page is born a one-page cohort and cohorts never merge, so
         # each allocated page is a first page: a key of ctx.pages
         if idx not in ctx.pages:
@@ -395,7 +394,6 @@ class TraceDriver:
             self.policy.walk(ctx, [(idx, idx + 1)], t, False,
                              trace.ops[i] == "w", _ignore)
         i += 1
-        self.i = i
         if i < len(trace.times):
             self.sim.schedule(trace.times[i], "trace", self._event)
 

@@ -1,11 +1,30 @@
 """Shared scaffolding for the unit tests."""
 
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 
 from oracles import victim_order_reference
 from tiersim.core import Simulator
 from tiersim.memory import MemoryModel, DRAM, FLASH, TO_DRAM, TO_FLASH
 from tiersim.media import Device, PREFETCH, PROFILES
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once it has run `seconds`, so a
+    test of a call that used to hang fails instead of hanging. It uses
+    SIGALRM, so it works only in the main thread."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def build(dram=256, flash=8192, profile="flash", **overrides):
@@ -49,6 +68,11 @@ def dmx_wheel_is_exact(pol):
             and len(got) == len(want) and dict(got) == want)
 
 
+def listed_pages(*lists):
+    """The pages of the runs the page lists `lists` hold."""
+    return sum(c.hi - c.lo for lst in lists for c in lst)
+
+
 def check_selections_in_list_order(pol):
     """Make every victim selection of dmx policy `pol` compare itself with
     victim_order_reference taken just before it: it must cut exactly the
@@ -58,9 +82,6 @@ def check_selections_in_list_order(pol):
     model = pol.model
     select = pol._victims_from
     seen = {"selections": 0, "partial": 0}
-
-    def listed_pages(rec):
-        return sum(plist.page_count for plist in rec.levels)
 
     def checked(rec, allow, t, dirty_out):
         expect, left = [], allow
@@ -72,7 +93,7 @@ def check_selections_in_list_order(pol):
             seen["partial"] += take < c.hi - c.lo
             left -= take
         seen["selections"] += 1
-        before = listed_pages(rec)
+        before = listed_pages(*rec.levels)
         pieces = []
         extract = model.extract
 
@@ -86,7 +107,7 @@ def check_selections_in_list_order(pol):
         finally:
             del model.extract
         assert [(p.lo, p.hi) for p in pieces] == expect, (rec.key, t, allow)
-        assert got == allow - left == before - listed_pages(rec)
+        assert got == allow - left == before - listed_pages(*rec.levels)
         assert all(p.owner is None for p in pieces)
         return got
 

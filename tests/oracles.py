@@ -112,14 +112,12 @@ def aged_expiry(expire, ticks, lifetime, window):
 
 def victim_order_reference(levels):
     """dmx victim order within one context, read off its level lists: level
-    by level, lowest first, each from head to tail by following the links,
-    the runs with no IO pending. A generator, so that a check can stop at
-    the runs a selection reaches."""
+    by level, lowest first, each from head to tail by following the links.
+    A generator, so that a check can stop at the runs a selection reaches."""
     for plist in levels:
         c = plist.head
         while c is not None:
-            if c.io is None:
-                yield c
+            yield c
             c = c.next
 
 

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from helpers import (build, check_selections_in_list_order,
-                     dmx_wheel_is_exact, mq_law_holds,
+                     dmx_wheel_is_exact, listed_pages, mq_law_holds,
                      runs_agree_with_their_requests)
 from oracles import LruOracle, percentile_oracle
 from tiersim.acceptance import evaluate
@@ -177,6 +177,16 @@ def _check_dmx_state(pol, ctxs):
     assert dmx_wheel_is_exact(pol)
 
 
+def _check_swap_state(pol, m):
+    """swap's LRU holds each DRAM run of every context exactly once and
+    nothing else, so its pages are exactly the DRAM pages."""
+    listed = list(pol.lru)
+    dram = {c for ctx in m.contexts.values() for c in ctx.pages.values()
+            if c.tier == DRAM}
+    assert len(listed) == len(dram) and set(listed) == dram
+    assert listed_pages(pol.lru) == m.dram_used
+
+
 # Criterion 9's fuzz registers at most FUZZ_CONTEXTS contexts: 4 at the
 # start and up to 4 mid-run, of at most 463 pages each. Contexts live for
 # the whole run, so the growth branch stops adding pages at FUZZ_PAGES in
@@ -286,7 +296,10 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
         if rounds % 5000 == 0:
             sim.drain()
             m.check_full()
-            if policy_name == "dmx":
+            assert runs_agree_with_their_requests(m)
+            if policy_name == "swap":
+                _check_swap_state(pol, m)
+            else:
                 assert mq_law_holds(pol)
                 recs = pol.contexts.values()
                 assert all(r.quota >= pol.floor_pages for r in recs)
@@ -295,7 +308,9 @@ def _fuzz(policy_name, seed, target_events=1_000_000):
     sim.drain()
     m.check_full()
     assert runs_agree_with_their_requests(m)
-    if policy_name == "dmx":
+    if policy_name == "swap":
+        _check_swap_state(pol, m)
+    else:
         _check_dmx_state(pol, ctxs)
     assert events[0] >= target_events, f"starved at {events[0]} events"
     for entry in dispatched:

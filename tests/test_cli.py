@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import tiersim
+from helpers import deadline
 from tiersim.cli import main
 from tiersim.config import resolve
 from tiersim.experiment import run_sweep, sweep_plan
@@ -201,6 +202,18 @@ def test_capacity_exhaustion_aborts_with_code_two(tmp_path, capsys):
         "mem.dram_pages = 4096\nmem.flash_pages = 4096\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "aborted" in capsys.readouterr().err
+
+
+def test_a_hot_set_past_the_capacity_exits_one_at_once(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"critical.hot_records = {10**10}\n")
+    with deadline(5):
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "tiersim: critical.hot_records * critical.hot_record_pages = "
+        "320000000000 exceeds the 589824 pages of mem.dram_pages + "
+        "mem.flash_pages\n")
 
 
 def test_a_failed_check_exits_three_with_a_fail_line(tmp_path, capsys):

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from helpers import deadline
 from tiersim import experiment
 from tiersim.config import (
     ConfigError, DEFAULTS, parse_config_file, resolve, render, validate,
@@ -120,9 +121,11 @@ def test_skew_whose_weights_overflow_is_rejected(raw):
 
 def test_skew_whose_weights_fit_is_accepted():
     assert resolve(None, {"critical.skew": "-170"})["critical.skew"] == -170.0
-    # 100,000 finite weights, the largest about 3e307, whose total overflows
+    # 100,000 finite weights, the largest about 3e307, whose total overflows;
+    # one page a record keeps the hot set inside the capacity
     with pytest.raises(ConfigError, match="critical.skew"):
-        resolve(None, {"critical.skew": "-61.5", "critical.hot_records": "100000"})
+        resolve(None, {"critical.skew": "-61.5", "critical.hot_records": "100000",
+                       "critical.hot_record_pages": "1"})
 
 
 @pytest.mark.parametrize("raw", ["0", "-1"])
@@ -142,6 +145,23 @@ def test_cold_records_past_2_64_are_rejected():
         with pytest.raises(ConfigError) as err:
             resolve(few, {"critical.cold_records": str(n)})
         assert str(err.value) == "critical.cold_records must be at most 2**64"
+
+
+def test_a_hot_set_past_the_capacity_is_rejected_at_once():
+    """The hot set must fit in DRAM and flash together. The bound is checked
+    before the hot-record weights are summed, which for 10**10 records
+    would take about 950 s."""
+    small = {"mem.dram_pages": "64", "mem.flash_pages": "64",
+             "critical.hot_record_pages": "1"}
+    assert resolve(small, {"critical.hot_records": "128"})[
+        "critical.hot_records"] == 128
+    with pytest.raises(ConfigError) as err:
+        resolve(small, {"critical.hot_records": "129"})
+    assert str(err.value) == (
+        "critical.hot_records * critical.hot_record_pages = 129 exceeds "
+        "the 128 pages of mem.dram_pages + mem.flash_pages")
+    with deadline(5), pytest.raises(ConfigError, match="exceeds the 589824 "):
+        resolve(None, {"critical.hot_records": str(10**10)})
 
 
 def test_render_echo_reproduces_the_config(tmp_path):

@@ -627,9 +627,6 @@ def test_mq_and_quota_laws_hold_under_mixed_traffic():
 
 # -- victim order ----------------------------------------------------------
 
-HELD_IO = object()      # stands in for a pending request on a DRAM run
-
-
 def _listed(pol, ctx):
     return [c for plist in pol.contexts[ctx].levels for c in plist]
 
@@ -641,9 +638,8 @@ def test_every_selection_matches_the_list_order_reference():
     sim, m, dev, pol = dmx_stack(dram=192, flash=8192, floor_pages=8)
     rng = SplitMix64(2718)
     seen = check_selections_in_list_order(pol)
-    seen.update(io_held=0, interior_hits=0, ticks=0)
+    seen.update(interior_hits=0, ticks=0)
     ctxs = [[pol.register(m.new_context(f"c{i}")), 0] for i in range(3)]
-    held = None          # a DRAM run made to look as if IO were pending
     t = 0
     for step in range(2500):
         t = max(t, sim.now) + rng.randrange(6000)
@@ -659,19 +655,10 @@ def test_every_selection_matches_the_list_order_reference():
             pol.tick(t)
             seen["ticks"] += 1
         elif roll < 24:
-            seen["io_held"] += (held is not None and held.ctx is ctx
-                                and held.owner is not None)
             out = []
             pol._victims_from(pol.contexts[ctx], 1 + rng.randrange(12), t, out)
             if out:
                 dev.submit_background(EVICT, out, t, cb=pol._on_evicted)
-        elif roll < 28:
-            if held is not None and held.io is HELD_IO:
-                held.io = None
-            runs = _listed(pol, ctx)
-            held = runs[rng.randrange(len(runs))] if runs else None
-            if held is not None:
-                held.io = HELD_IO
         else:
             lo = rng.randrange(pages)
             hi = min(pages, lo + 1 + rng.randrange(10))
@@ -687,8 +674,6 @@ def test_every_selection_matches_the_list_order_reference():
             m.check_full()
             assert mq_law_holds(pol)
             assert dmx_wheel_is_exact(pol)
-    if held is not None and held.io is HELD_IO:
-        held.io = None
     sim.drain()
     m.check_full()
     assert all(n > 20 for n in seen.values()), seen

@@ -248,5 +248,5 @@ def test_births_wait_for_frames(tmp_path):
     replay = TraceDriver(sim, m, SwapPolicy(m, dev), records)
     replay.start()
     sim.drain()
-    assert replay.i == len(records)
+    assert replay.accesses == len(records)
     m.check_full()

@@ -36,13 +36,13 @@ def test_large_read_splits_into_batches():
     c = m.create(ctx, 0, 130, tier=FLASH)
     h = dev.submit_demand([c], 0)
     # 130 pages -> 64 + 64 + 2, all in flight at once on an 8-way device
-    assert h.remaining == 3 and not h.done
+    assert h.remaining == 3
     assert h.done_t == 325
     assert m.census()["inflight"] == 130
     times = []
     h.wait(times.append)
     sim.drain()
-    assert times == [325] and h.done
+    assert times == [325] and h.remaining == 0
     assert dev.stats["demand_ios"] == 3
     assert dev.stats["pages_read"] == 130
     assert m.census() == {"dram": 130, "flash": 0, "inflight": 0, "total": 130}
@@ -138,7 +138,7 @@ def test_stale_queued_prefetch_is_dropped():
     assert dev.stats["prefetch_ios"] == 0 and dev.stats["demand_ios"] == 2
     # the drop is noticed at the first dispatch attempt with an idle slot,
     # which is when the demand read of p itself completes
-    assert hp.done and hp.done_t == 168
+    assert hp.remaining == 0 and hp.done_t == 168
     assert p.tier == DRAM
     m.check_full()
 
@@ -164,9 +164,9 @@ def test_prefetch_blocks_on_frames_until_eviction_frees_them():
 def test_empty_submissions_complete_inline():
     sim, m, dev = build()
     h = dev.submit_demand([], 7)
-    assert h.done and h.done_t == 7
+    assert h.remaining == 0 and h.done_t == 7
     hb = dev.submit_background(EVICT, [], 7)
-    assert hb.done
+    assert hb.remaining == 0
     with pytest.raises(SimulationError):
         h.wait(lambda t: None)
     assert sim.drain() == 0

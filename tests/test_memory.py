@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import listed_pages
 from tiersim.core import SimulationError
 from tiersim.memory import (
     MemoryModel, PageList, Cohort, DRAM, FLASH, TO_DRAM, TO_FLASH,
@@ -153,10 +154,10 @@ def test_extract_keeps_list_order_and_page_count():
     # extracted piece themselves (move_to_tail on access), so its slot is free
     assert order.index((10, 20)) < order.index((30, 40))
     assert mid.owner is lst
-    assert lst.page_count == 40 and len(order) == 4
+    assert listed_pages(lst) == 40 and len(order) == 4
     pre = m.extract(a, 0, 3)
     assert [(x.lo, x.hi) for x in lst][:2] == [(0, 3), (3, 10)]
-    assert pre.owner is lst and lst.page_count == 40
+    assert pre.owner is lst and listed_pages(lst) == 40
 
 
 def test_extract_out_of_range_aborts():
@@ -179,7 +180,7 @@ def test_pagelist_basics():
     lst.move_to_tail(a)
     assert [x.lo for x in lst] == [10, 20, 0]
     lst.remove(b)
-    assert [x.lo for x in lst] == [20, 0] and lst.page_count == 20
+    assert [x.lo for x in lst] == [20, 0] and listed_pages(lst) == 20
     with pytest.raises(SimulationError):
         lst.append(a)  # already owned
     other = PageList()
@@ -206,7 +207,7 @@ def twin_lists(rng, n):
 def links(lst, cohorts):
     """Every link of the list, with cohorts named by their index."""
     name = lambda c: None if c is None else cohorts.index(c)
-    return (name(lst.head), name(lst.tail), len(list(lst)), lst.page_count,
+    return (name(lst.head), name(lst.tail), len(list(lst)), listed_pages(lst),
             [(name(c.prev), name(c.next), c.owner is lst) for c in cohorts])
 
 
